@@ -474,7 +474,7 @@ def cmd_place_sensors(args: argparse.Namespace) -> int:
             noise_variance=float(params["noise_variance"]),
         )
         post = fit_posterior(table, pseudo)
-        rows.append((order, point[0], point[1], float(post.variance_field.values[point])))
+        rows.append((order, point[0], point[1], float(post.variance_at([point])[0])))
         chosen.append(point)
     write_csv(outdir / "sensors.csv", ["order", "ix", "iy", "variance"], rows)
     write_manifest(outdir, "place-sensors", params, params["seed"], watch.elapsed())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +27,10 @@ FAMILIES = (FAMILY_CHT, FAMILY_RBF, FAMILY_MATERN)
 #: marginal variance: start small, escalate by 10x, then give up.
 JITTER_START_FRACTION = 1e-10
 JITTER_MAX_FRACTION = 1e-6
+
+#: Distinct (spec, grid) kernel tables kept per process by
+#: :func:`build_kernel_table`; an evidence-tuned comparison needs 11.
+KERNEL_TABLE_CACHE_SIZE = 16
 
 _GAMMA_LOW = 2.0 / 3.0
 _ADMISSIBILITY_EPS = 1e-12
@@ -170,6 +175,13 @@ class KernelTable:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """``rfft2`` of the table, the multiplier of a circular convolution with it."""
+        out = np.fft.rfft2(self.values)
+        out.setflags(write=False)
+        return out
+
 
 def _symmetrize_table(values: np.ndarray) -> np.ndarray:
     # exact even symmetry values[a, b] == values[-a mod n, -b mod n] and
@@ -181,7 +193,16 @@ def _symmetrize_table(values: np.ndarray) -> np.ndarray:
 
 
 def build_kernel_table(spec: KernelSpec, grid: GridSpec) -> KernelTable:
-    """Physical-space kernel as the inverse transform of the normalized density."""
+    """Physical-space kernel as the inverse transform of the normalized density.
+
+    Tables are read-only, so equal ``(spec, grid)`` pairs share one table
+    from a bounded per-process cache.
+    """
+    return _cached_kernel_table(spec, grid)
+
+
+@lru_cache(maxsize=KERNEL_TABLE_CACHE_SIZE)
+def _cached_kernel_table(spec: KernelSpec, grid: GridSpec) -> KernelTable:
     density = spectral_density(spec, grid)
     field = to_physical(SpectralField(grid, density.grid_values.astype(np.complex128)))
     return KernelTable(grid=grid, values=_symmetrize_table(field.values), spec=spec)

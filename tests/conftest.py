@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from turbogp import GridSpec, KernelSpec, build_kernel_table
+
+# Shared CPUs stall at random, so per-example deadlines are off; derandomized
+# examples make every run test the same cases and need no example database.
+settings.register_profile("shared-host", deadline=None, derandomize=True, database=None)
+settings.load_profile("shared-host")
 
 
 @pytest.fixture

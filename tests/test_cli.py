@@ -164,6 +164,12 @@ class TestPlaceSensorsCommand:
         assert run_cli("place-sensors", "--n", "16", "--candidate-stride", "3",
                        "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_noise_variance_is_a_usage_error(self, tmp_path, capsys, bad):
+        assert run_cli("place-sensors", "--n", "16", "--count", "2",
+                       "--noise-variance", bad, "--out", str(tmp_path)) == 2
+        assert "finite" in capsys.readouterr().err
+
 
 class TestReconstructCommand:
     def test_outputs_and_summary(self, tmp_path):
@@ -188,6 +194,15 @@ class TestReconstructCommand:
                        "--m", "40", "--noise", "0.1", "--alpha", "1.5",
                        "--seed", "3", "--out", str(out)) == 0
         assert (out / "credible_summary.json").exists()
+
+    def test_non_finite_truth_is_a_usage_error(self, tmp_path, capsys):
+        values = np.zeros((16, 16))
+        values[::2] = np.nan
+        write_field_dump(tmp_path / "nan.json", RealField(GridSpec(16), values))
+        assert run_cli("reconstruct", "--field", str(tmp_path / "nan.json"),
+                       "--m", "200", "--noise", "0", "--alpha", "1.5",
+                       "--out", str(tmp_path / "rec")) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestConfigAndEnvironment:

@@ -1,8 +1,12 @@
 """Posterior fields vs dense conditioning, evidence, intervals, energy
 variance, and greedy placement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import dense_condition, dense_greedy, dense_prior_covariance
 from turbogp import (
@@ -38,6 +42,16 @@ class TestObservationSet:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             ObservationSet(np.array([[0, 0]]), np.array([1.0]), -0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ObservationSet(np.array([[0, 0], [1, 1]]), np.array([1.0, bad]), 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_noise_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ObservationSet(np.array([[0, 0]]), np.array([1.0]), bad)
 
 
 class TestFitPosterior:
@@ -92,6 +106,76 @@ class TestFitPosterior:
             np.max(np.abs(post.variance_field.values - post2.variance_field.values))
             < 1e-12
         )
+
+
+def _lazy_case(name):
+    # (locations, values, noise variance) for the FFT-vs-dense comparison
+    rng = np.random.default_rng(31)
+    if name == "empty":
+        return np.zeros((0, 2), dtype=int), np.zeros(0), 0.01
+    if name == "random":
+        # an odd count leaves a partial batch in the variance loop
+        obs = _random_obs(GridSpec(16), 21, seed=32)
+        return obs.locations, obs.values, obs.noise_variance
+    if name == "duplicates":
+        locs = np.array([[1, 2], [5, 5], [1, 2], [9, 3], [5, 5], [15, 0]])
+        return locs, rng.standard_normal(6), 0.05
+    # noiseless coincident observations make the Gram matrix singular
+    return np.array([[1, 2], [5, 5], [1, 2], [12, 7]]), np.array([0.3, -1.0, 0.3, 0.6]), 0.0
+
+
+class TestLazyPosterior:
+    @pytest.mark.parametrize("case", ["empty", "random", "duplicates", "jittered"])
+    def test_fft_fields_match_dense_conditioning(self, cht_table16, case):
+        locs, values, noise = _lazy_case(case)
+        post = fit_posterior(cht_table16, ObservationSet(locs, values, noise))
+        assert (post.jitter > 0.0) == (case == "jittered")
+        mean, cov = dense_condition(cht_table16, locs, values, noise + post.jitter)
+        variance = np.maximum(np.diag(cov), 0.0)
+        grid_points = [(a, b) for a in range(16) for b in range(16)]
+        assert np.max(np.abs(post.mean_field.values.ravel() - mean)) <= 1e-12
+        assert np.max(np.abs(post.variance_field.values.ravel() - variance)) <= 1e-12
+        assert np.max(np.abs(post.variance_at(grid_points) - variance)) <= 1e-12
+
+    def test_variance_at_reads_the_variance_field(self, cht_table16):
+        post = fit_posterior(cht_table16, _random_obs(cht_table16.grid, 40, seed=33))
+        points = np.array([[0, 0], [3, 15], [8, 8], [15, 1]])
+        got = post.variance_at(points)
+        want = post.variance_field.values[points[:, 0], points[:, 1]]
+        assert got.shape == (4,)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @given(
+        m=st.integers(0, 10),
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.floats(1e-2, 1.0),
+        shift=st.tuples(st.integers(0, 15), st.integers(0, 15)),
+    )
+    def test_periodic_shift_equivariance(self, m, seed, noise, shift):
+        # rolling every observation by a grid offset rolls both fields by it
+        table = build_kernel_table(KernelSpec.cht(1.5), GridSpec(16))
+        rng = np.random.default_rng(seed)
+        locs = rng.integers(0, 16, size=(m, 2))
+        values = rng.uniform(-3.0, 3.0, size=m)
+        post = fit_posterior(table, ObservationSet(locs, values, noise))
+        moved = fit_posterior(table, ObservationSet((locs + shift) % 16, values, noise))
+        for name in ("mean_field", "variance_field"):
+            rolled = np.roll(getattr(post, name).values, shift, axis=(0, 1))
+            assert np.max(np.abs(getattr(moved, name).values - rolled)) <= 1e-12
+
+    def test_fit_allocates_no_grid_sized_arrays(self):
+        # the eager fit is O(m^2) memory; one dense m x n^2 cross-covariance
+        # at this size would be 200 MiB
+        grid = GridSpec(256)
+        table = build_kernel_table(KernelSpec.cht(1.5), grid)
+        obs = observe(generate_cht_truth(1.5, grid, 34), 400, 0.1, 35)
+        tracemalloc.start()
+        try:
+            fit_posterior(table, obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestLogMarginalLikelihood:

@@ -121,6 +121,14 @@ class TestKernelTable:
     def test_isotropy_on_lattice(self, cht_table16):
         assert np.array_equal(cht_table16.values, cht_table16.values.T)
 
+    def test_equal_arguments_share_one_read_only_table(self, grid16):
+        table = build_kernel_table(KernelSpec.cht(1.5), grid16)
+        assert build_kernel_table(KernelSpec.cht(1.5), GridSpec(16)) is table
+        assert build_kernel_table(KernelSpec.cht(2.0), grid16) is not table
+        assert not table.values.flags.writeable
+        assert not table.spectrum.flags.writeable
+        assert np.array_equal(table.spectrum, np.fft.rfft2(table.values))
+
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize(
         "spec",
