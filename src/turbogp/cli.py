@@ -1,7 +1,18 @@
 """Command-line front end producing deterministic CSV/JSON/binary artifacts.
 
-Exit codes: 0 on success, 2 on usage errors (bad flags, invalid parameter
-ranges, unwritable output), 3 on numerical failure (Gram factorization).
+Every command is one entry of :data:`COMMANDS`: its handler, its help text
+and one :class:`Param` row per parameter (name, converter, default,
+choices).  The rows generate the argparse subparser and the config-file
+merge, so each default, type and choice is stated once.  A value from
+``--config file.json`` goes through the flag's own converter and choices
+(a JSON list is read as its comma-separated flag text), and an explicit flag
+overrides it.  ``--seed`` and ``--out`` are appended to every command.
+Handlers take the resolved parameters; :func:`main` starts the stopwatch,
+fills in the seed, writes the manifest and maps errors to exit codes.
+
+Exit codes: 0 on success, 2 on usage errors (bad flags or config values,
+invalid parameter ranges, unreadable inputs, unwritable output), 3 on
+numerical failure (Gram factorization).
 """
 
 from __future__ import annotations
@@ -11,46 +22,24 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.stats import norm as _std_normal
 
 from . import __version__
 from .experiments import (
-    TRUTH_GAUSSIAN,
-    TRUTH_VORTEX,
-    TrialConfig,
-    VortexParams,
-    derive_seed,
-    generate_cht_truth,
-    generate_vortex_truth,
-    observe,
-    resolve_candidate,
-    run_comparison,
-    spectral_validation,
-    sweep_alpha,
-    sweep_density,
+    TRUTH_GAUSSIAN, TRUTH_VORTEX, TrialConfig, VortexParams, derive_seed, generate_cht_truth,
+    generate_vortex_truth, observe, resolve_candidate, run_comparison, spectral_validation,
+    sweep_alpha, sweep_density,
 )
-from .gp_inference import (
-    ObservationSet,
-    fit_posterior,
-    greedy_sensor_placement,
-)
+from .gp_inference import ObservationSet, fit_posterior, greedy_sensor_placement
 from .io import Stopwatch, read_field_dump, write_csv, write_field_dump, write_manifest
 from .kernels import (
-    FAMILY_CHT,
-    FactorizationError,
-    KernelSpec,
-    build_kernel_table,
-    check_admissible,
-    spectral_density,
+    FAMILIES, FAMILY_CHT, FAMILY_RBF, FactorizationError, KernelSpec, build_kernel_table,
+    check_admissible, spectral_density,
 )
-from .spectral_field import (
-    GridSpec,
-    RealField,
-    radial_spectrum,
-    sample_gaussian_field,
-)
+from .spectral_field import GridSpec, RealField, radial_spectrum, sample_gaussian_field
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,50 +47,118 @@ EXIT_NUMERICAL = 3
 
 ENV_SEED = "TURBOGP_SEED"
 
+#: Reconstruction exponent of ``compare`` against a vortex truth when
+#: ``--alpha`` is unset (a gaussian truth uses ``--alpha-true``).
+VORTEX_RECONSTRUCTION_ALPHA = 1.25
+
 
 class UsageError(Exception):
     pass
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in str(text).split(",") if part != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats: {text!r}") from exc
+class Param(NamedTuple):
+    """One command parameter: flag ``--name`` (dashes for underscores) and config key ``name``."""
+
+    name: str
+    type: Callable[[str], object]
+    default: object = None
+    choices: tuple = ()
+    help: str = ""
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in str(text).split(",") if part != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
+class Command(NamedTuple):
+    handler: Callable[[dict], None]
+    help: str
+    params: tuple[Param, ...]
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge flag values, config-file values, and built-in defaults.
+def _checked(convert: Callable[[str], object], valid: Callable, what: str) -> Callable:
+    """A flag converter that rejects unparsable and invalid text alike."""
 
-    Flags win over the config file, which wins over defaults.  Unknown
-    config keys are rejected to catch typos.
-    """
-    config = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
+    def parse(text: str):
         try:
-            config = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {config_path}: {exc}") from exc
-        unknown = set(config) - set(defaults)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
+            value = convert(text)
+            if valid(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}: {text!r}")
+
+    return parse
+
+
+def _parts(convert: Callable[[str], object]) -> Callable[[str], list]:
+    return lambda text: [convert(part) for part in text.split(",") if part != ""]
+
+
+_float_list = _checked(_parts(float), bool, "comma-separated floats")
+_int_list = _checked(_parts(int), bool, "comma-separated integers")
+_LIST_TYPES = (_float_list, _int_list)
+#: trials, seeds, picks and worker threads
+_count = _checked(int, lambda value: value >= 1, "an integer >= 1")
+_level = _checked(float, lambda value: 0.0 < value < 1.0, "a level strictly between 0 and 1")
+
+
+# Rows shared by several commands, with the same meaning in each.
+_N = Param("n", int, 128, help="grid points per side")
+_M = Param("m", int, 100, help="observations per trial")
+_ALPHA_TRUE = Param("alpha_true", float, 1.5, help="exponent of the gaussian truth")
+_NOISE = Param("noise", float, 0.1, help="noise std as a fraction of the truth's RMS")
+_TRIALS = Param("trials", _count, 20, help="independent trials")
+_GAMMA = Param("gamma", float, 1.0, help="dissipation exponent, in (2/3, 1]")
+_JOBS = Param("jobs", _count, os.cpu_count() or 1, help="worker threads, one per core unless set")
+_TRUTH = Param("truth", str, "gaussian", ("gaussian", "vortex"), "kind of ground-truth field")
+_KERNEL = Param("kernel", str, FAMILY_CHT, FAMILIES, "prior kernel family")
+_LENGTH_SCALE = Param("length_scale", float, help="baseline length scale")
+_NU = Param("nu", float, help="Matern smoothness, required for --kernel matern")
+_COMMON = (
+    Param("seed", int, help=f"master seed (default: env {ENV_SEED}, then 0)"),
+    Param("out", str, ".", help="output directory"),
+)
+
+
+def _from_config(param: Param, raw) -> object:
+    """A config-file value read exactly as its flag would be."""
+    if isinstance(raw, list) and param.type in _LIST_TYPES:
+        text = ",".join(map(str, raw))
+    else:
+        text = str(raw)
+    try:
+        value = param.type(text)
+    except (argparse.ArgumentTypeError, ValueError) as exc:
+        raise UsageError(f"config key {param.name!r}: invalid value {raw!r} ({exc})") from exc
+    if param.choices and value not in param.choices:
+        raise UsageError(f"config key {param.name!r}: {value!r} is not one of {list(param.choices)}")
+    return value
+
+
+def _read_config(path_text: str) -> dict:
+    try:
+        config = json.loads(Path(path_text).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path_text}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise UsageError(f"config file {path_text} must hold a JSON object")
+    return config
+
+
+def _resolve(args: argparse.Namespace, params: tuple[Param, ...]) -> dict:
+    """Merge flag values, config-file values, and table defaults.
+
+    Flags win over the config file, which wins over defaults; a config
+    ``null`` leaves the default.  Unknown config keys are rejected to catch
+    typos.
+    """
+    config = _read_config(args.config) if args.config else {}
+    unknown = set(config) - {param.name for param in params}
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
     out = {}
-    for key, default in defaults.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            out[key] = flag_value
-        elif key in config:
-            out[key] = config[key]
-        else:
-            out[key] = default
+    for param in params:
+        value = getattr(args, param.name)
+        if value is None and config.get(param.name) is not None:
+            value = _from_config(param, config[param.name])
+        out[param.name] = param.default if value is None else value
     return out
 
 
@@ -109,7 +166,7 @@ def _coerce_seed(value) -> int:
     if value is None:
         env = os.environ.get(ENV_SEED)
         return int(env) if env else 0
-    return int(value)
+    return value
 
 
 def _check_alpha_gamma(alpha: float, gamma: float) -> None:
@@ -140,161 +197,100 @@ def _ensure_outdir(path_text: str) -> Path:
     return outdir
 
 
-def _normalize_lists(params: dict, float_keys=(), int_keys=()) -> None:
-    for key in float_keys:
-        if isinstance(params.get(key), str):
-            params[key] = _float_list(params[key])
-        if params.get(key) is not None:
-            params[key] = [float(v) for v in params[key]]
-    for key in int_keys:
-        if isinstance(params.get(key), str):
-            params[key] = _int_list(params[key])
-        if params.get(key) is not None:
-            params[key] = [int(v) for v in params[key]]
+def _write_summary(path: Path, summary: dict) -> None:
+    path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
 
 def _kernel_from_params(params: dict) -> KernelSpec:
     family = params["kernel"]
-    if family == "cht":
-        return KernelSpec.cht(float(params["alpha"]))
-    if family == "rbf":
-        ell = params.get("length_scale")
-        return KernelSpec.rbf(None if ell is None else float(ell))
-    if family == "matern":
-        if params.get("nu") is None:
-            raise UsageError("matern kernel requires --nu")
-        ell = params.get("length_scale")
-        return KernelSpec.matern(float(params["nu"]), None if ell is None else float(ell))
-    raise UsageError(f"unknown kernel family {family!r}")
+    if family == FAMILY_CHT:
+        return KernelSpec.cht(params["alpha"])
+    if family == FAMILY_RBF:
+        return KernelSpec.rbf(params["length_scale"])
+    if params["nu"] is None:
+        raise UsageError("matern kernel requires --nu")
+    return KernelSpec.matern(params["nu"], params["length_scale"])
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
-    watch = Stopwatch()
-    params = _resolve(
-        args,
-        {"n": 128, "alpha": 1.5, "seed": None, "gamma": 1.0, "out": "."},
-    )
-    params["seed"] = _coerce_seed(params["seed"])
-    _check_alpha_gamma(float(params["alpha"]), float(params["gamma"]))
+def cmd_sample(params: dict) -> None:
+    _check_alpha_gamma(params["alpha"], params["gamma"])
     outdir = _ensure_outdir(params["out"])
 
-    grid = GridSpec(int(params["n"]))
-    density = spectral_density(KernelSpec.cht(float(params["alpha"])), grid)
+    grid = GridSpec(params["n"])
+    density = spectral_density(KernelSpec.cht(params["alpha"]), grid)
     field = sample_gaussian_field(density, grid, params["seed"])
-    write_field_dump(
-        outdir / "field.json", field, seed=params["seed"], alpha=float(params["alpha"])
-    )
+    write_field_dump(outdir / "field.json", field, seed=params["seed"], alpha=params["alpha"])
     spectrum = radial_spectrum(field)
     write_csv(
         outdir / "spectrum.csv",
         ["k", "shell_avg_power", "shell_sum_power", "mode_count"],
         zip(spectrum.k, spectrum.shell_avg_power, spectrum.shell_sum_power, spectrum.mode_count),
     )
-    write_manifest(outdir, "sample", params, params["seed"], watch.elapsed())
-    return EXIT_OK
 
 
-def cmd_validate_spectrum(args: argparse.Namespace) -> int:
-    watch = Stopwatch()
-    params = _resolve(
-        args,
-        {
-            "alphas": [1.5, 2.0, 2.5],
-            "n": 128,
-            "seeds": 10,
-            "seed": None,
-            "k_min": None,
-            "k_max": None,
-            "out": ".",
-        },
-    )
-    _normalize_lists(params, float_keys=("alphas",))
-    params["seed"] = _coerce_seed(params["seed"])
+def cmd_validate_spectrum(params: dict) -> None:
     for alpha in params["alphas"]:
-        _check_alpha_gamma(float(alpha), 1.0)
+        _check_alpha_gamma(alpha, 1.0)
     outdir = _ensure_outdir(params["out"])
 
-    grid = GridSpec(int(params["n"]))
     results = spectral_validation(
-        params["alphas"],
-        grid,
-        int(params["seeds"]),
-        master_seed=params["seed"],
-        k_min=params["k_min"],
-        k_max=params["k_max"],
+        params["alphas"], GridSpec(params["n"]), params["seeds"],
+        master_seed=params["seed"], k_min=params["k_min"], k_max=params["k_max"],
     )
-    rows = []
-    for res in results:
-        for estimator, fit in (("shell_sum", res.shell_sum_fit), ("mode_avg", res.mode_avg_fit)):
-            rows.append(
-                (res.alpha, estimator, fit.exponent, fit.exponent_stderr,
-                 fit.k_min, fit.k_max, fit.r_squared)
-            )
     write_csv(
         outdir / "exponents.csv",
         ["alpha", "estimator", "exponent", "stderr", "k_min", "k_max", "r_squared"],
-        rows,
+        [
+            (res.alpha, estimator, fit.exponent, fit.exponent_stderr,
+             fit.k_min, fit.k_max, fit.r_squared)
+            for res in results
+            for estimator, fit in (("shell_sum", res.shell_sum_fit), ("mode_avg", res.mode_avg_fit))
+        ],
     )
-    write_manifest(outdir, "validate-spectrum", params, params["seed"], watch.elapsed())
-    return EXIT_OK
 
 
-def _comparison_config(params: dict) -> TrialConfig:
-    truth = params["truth"]
-    alpha_true = float(params["alpha_true"])
-    alpha = params.get("alpha")
-    if alpha is None:
-        alpha = alpha_true if truth == "gaussian" else 1.25
-    alpha = float(alpha)
-    _check_alpha_gamma(alpha, float(params["gamma"]))
-    candidates = (KernelSpec.cht(alpha), KernelSpec.rbf(None))
+def _trial_config(params: dict, alpha: float, m: int, **kwargs) -> TrialConfig:
+    """Power-law prior with exponent ``alpha`` against the evidence-tuned RBF."""
     return TrialConfig(
-        grid_n=int(params["n"]),
-        alpha_true=alpha_true,
-        kernel_candidates=candidates,
-        m=int(params["m"]),
-        noise_ratio=float(params["noise"]),
+        grid_n=params["n"],
+        alpha_true=params["alpha_true"],
+        kernel_candidates=(KernelSpec.cht(alpha), KernelSpec.rbf(None)),
+        m=m,
+        noise_ratio=params["noise"],
         master_seed=params["seed"],
-        truth_kind=TRUTH_GAUSSIAN if truth == "gaussian" else TRUTH_VORTEX,
+        **kwargs,
+    )
+
+
+def _write_sweep(path: Path, axis_name: str, points, axis=float) -> None:
+    write_csv(
+        path,
+        [axis_name, "mean_improvement", "std_improvement", "win_rate", "trials"],
+        [(axis(p.axis_value), p.mean_improvement, p.std_improvement, p.win_rate, p.trial_count)
+         for p in points],
     )
 
 
 def _trials_rows(results) -> list[tuple]:
-    rows = []
-    for res in results:
-        for tag, score in res.per_kernel.items():
-            rows.append(
-                (res.seed, tag, score.eps, score.rmse, res.improvement_pct, res.winner)
-            )
-    return rows
+    return [
+        (res.seed, tag, score.eps, score.rmse, res.improvement_pct, res.winner)
+        for res in results
+        for tag, score in res.per_kernel.items()
+    ]
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    watch = Stopwatch()
-    params = _resolve(
-        args,
-        {
-            "truth": "gaussian",
-            "n": 128,
-            "alpha_true": 1.5,
-            "alpha": None,
-            "m": 100,
-            "noise": 0.1,
-            "trials": 20,
-            "seed": None,
-            "gamma": 1.0,
-            "jobs": None,
-            "out": ".",
-        },
+def cmd_compare(params: dict) -> None:
+    gaussian = params["truth"] == "gaussian"
+    alpha = params["alpha"]
+    if alpha is None:
+        alpha = params["alpha_true"] if gaussian else VORTEX_RECONSTRUCTION_ALPHA
+    _check_alpha_gamma(alpha, params["gamma"])
+    base = _trial_config(
+        params, alpha, params["m"], truth_kind=TRUTH_GAUSSIAN if gaussian else TRUTH_VORTEX
     )
-    params["seed"] = _coerce_seed(params["seed"])
-    if params["truth"] not in ("gaussian", "vortex"):
-        raise UsageError("--truth must be 'gaussian' or 'vortex'")
-    jobs = params["jobs"] or os.cpu_count() or 1
     outdir = _ensure_outdir(params["out"])
 
-    base = _comparison_config(params)
-    results = run_comparison(base, int(params["trials"]), jobs=int(jobs))
+    results = run_comparison(base, params["trials"], jobs=params["jobs"])
     write_csv(
         outdir / "trials.csv",
         ["seed", "kernel", "eps", "rmse", "improvement_pct", "winner"],
@@ -305,7 +301,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     eps_cht = np.array([r.per_kernel[cht_tag].eps for r in results])
     eps_rbf = np.array([r.per_kernel[rbf_tag].eps for r in results])
     imps = np.array([r.improvement_pct for r in results])
-    summary = {
+    _write_summary(outdir / "summary.json", {
         "trials": len(results),
         "mean_eps_cht": float(eps_cht.mean()),
         "mean_eps_rbf": float(eps_rbf.mean()),
@@ -314,156 +310,62 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "win_rate": float(np.mean(eps_cht < eps_rbf)),
         "mean_improvement_pct": float(imps.mean()),
         "std_improvement_pct": float(imps.std(ddof=1)) if len(results) > 1 else 0.0,
-    }
-    (outdir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    write_manifest(outdir, "compare", params, params["seed"], watch.elapsed())
-    return EXIT_OK
+    })
 
 
-def cmd_sweep_alpha(args: argparse.Namespace) -> int:
-    watch = Stopwatch()
-    params = _resolve(
-        args,
-        {
-            "alphas": [0.75, 1.0, 1.25, 1.5],
-            "alpha_true": 1.5,
-            "n": 128,
-            "m": 100,
-            "noise": 0.1,
-            "trials": 20,
-            "seed": None,
-            "gamma": 1.0,
-            "jobs": None,
-            "out": ".",
-        },
-    )
-    _normalize_lists(params, float_keys=("alphas",))
-    params["seed"] = _coerce_seed(params["seed"])
+def cmd_sweep_alpha(params: dict) -> None:
     for alpha in params["alphas"]:
-        _check_alpha_gamma(float(alpha), float(params["gamma"]))
-    jobs = params["jobs"] or os.cpu_count() or 1
+        _check_alpha_gamma(alpha, params["gamma"])
     outdir = _ensure_outdir(params["out"])
 
-    base = TrialConfig(
-        grid_n=int(params["n"]),
-        alpha_true=float(params["alpha_true"]),
-        kernel_candidates=(KernelSpec.cht(float(params["alpha_true"])), KernelSpec.rbf(None)),
-        m=int(params["m"]),
-        noise_ratio=float(params["noise"]),
-        master_seed=params["seed"],
-    )
-    sweep = sweep_alpha(base, params["alphas"], int(params["trials"]), jobs=int(jobs))
-    write_csv(
-        outdir / "alpha.csv",
-        ["alpha", "mean_improvement", "std_improvement", "win_rate", "trials"],
-        [
-            (p.axis_value, p.mean_improvement, p.std_improvement, p.win_rate, p.trial_count)
-            for p in sweep.points
-        ],
-    )
+    base = _trial_config(params, params["alpha_true"], params["m"])
+    sweep = sweep_alpha(base, params["alphas"], params["trials"], jobs=params["jobs"])
+    _write_sweep(outdir / "alpha.csv", "alpha", sweep.points)
     best = max(sweep.points, key=lambda p: p.mean_improvement)
-    summary = {
+    _write_summary(outdir / "summary.json", {
         "best_alpha": best.axis_value,
         "best_mean_improvement": best.mean_improvement,
         "all_points_positive": bool(all(p.mean_improvement > 0 for p in sweep.points)),
-    }
-    (outdir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    write_manifest(outdir, "sweep-alpha", params, params["seed"], watch.elapsed())
-    return EXIT_OK
+    })
 
 
-def cmd_sweep_density(args: argparse.Namespace) -> int:
-    watch = Stopwatch()
-    params = _resolve(
-        args,
-        {
-            "m": [20, 60, 150],
-            "alpha_true": 1.5,
-            "alpha": None,
-            "n": 128,
-            "noise": 0.1,
-            "trials": 20,
-            "seed": None,
-            "gamma": 1.0,
-            "jobs": None,
-            "out": ".",
-        },
-    )
-    _normalize_lists(params, int_keys=("m",))
-    params["seed"] = _coerce_seed(params["seed"])
-    alpha = float(params["alpha"]) if params["alpha"] is not None else float(params["alpha_true"])
-    _check_alpha_gamma(alpha, float(params["gamma"]))
-    jobs = params["jobs"] or os.cpu_count() or 1
+def cmd_sweep_density(params: dict) -> None:
+    alpha = params["alpha_true"] if params["alpha"] is None else params["alpha"]
+    _check_alpha_gamma(alpha, params["gamma"])
     outdir = _ensure_outdir(params["out"])
 
-    base = TrialConfig(
-        grid_n=int(params["n"]),
-        alpha_true=float(params["alpha_true"]),
-        kernel_candidates=(KernelSpec.cht(alpha), KernelSpec.rbf(None)),
-        m=int(params["m"][0]),
-        noise_ratio=float(params["noise"]),
-        master_seed=params["seed"],
-    )
-    sweep = sweep_density(base, params["m"], int(params["trials"]), jobs=int(jobs))
-    write_csv(
-        outdir / "density.csv",
-        ["m", "mean_improvement", "std_improvement", "win_rate", "trials"],
-        [
-            (int(p.axis_value), p.mean_improvement, p.std_improvement, p.win_rate, p.trial_count)
-            for p in sweep.points
-        ],
-    )
-    summary = {
+    base = _trial_config(params, alpha, params["m"][0])
+    sweep = sweep_density(base, params["m"], params["trials"], jobs=params["jobs"])
+    _write_sweep(outdir / "density.csv", "m", sweep.points, axis=int)
+    _write_summary(outdir / "summary.json", {
         "improvement_increases_with_density": bool(
             sweep.points[-1].mean_improvement > sweep.points[0].mean_improvement
         ),
         "first_point_mean_improvement": sweep.points[0].mean_improvement,
         "last_point_mean_improvement": sweep.points[-1].mean_improvement,
-    }
-    (outdir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    write_manifest(outdir, "sweep-density", params, params["seed"], watch.elapsed())
-    return EXIT_OK
+    })
 
 
-def cmd_place_sensors(args: argparse.Namespace) -> int:
-    watch = Stopwatch()
-    params = _resolve(
-        args,
-        {
-            "n": 64,
-            "kernel": "cht",
-            "alpha": 1.5,
-            "length_scale": None,
-            "nu": None,
-            "count": 8,
-            "noise_variance": 0.01,
-            "candidate_stride": 1,
-            "seed": None,
-            "gamma": 1.0,
-            "out": ".",
-        },
-    )
-    params["seed"] = _coerce_seed(params["seed"])
-    if params["kernel"] == "cht":
-        _check_alpha_gamma(float(params["alpha"]), float(params["gamma"]))
-    if params["kernel"] in ("rbf", "matern") and params["length_scale"] is None:
+def cmd_place_sensors(params: dict) -> None:
+    if params["kernel"] == FAMILY_CHT:
+        _check_alpha_gamma(params["alpha"], params["gamma"])
+    elif params["length_scale"] is None:
         raise UsageError(f"{params['kernel']} placement requires --length-scale")
-    outdir = _ensure_outdir(params["out"])
-
-    grid = GridSpec(int(params["n"]))
     spec = _kernel_from_params(params)
-    table = build_kernel_table(spec, grid)
-    stride = int(params["candidate_stride"])
+    grid = GridSpec(params["n"])
+    stride = params["candidate_stride"]
     if stride < 1 or grid.n % stride != 0:
         raise UsageError("--candidate-stride must be a positive divisor of n")
+    outdir = _ensure_outdir(params["out"])
+
+    table = build_kernel_table(spec, grid)
     axis = np.arange(0, grid.n, stride)
     candidates = [(int(a), int(b)) for a in axis for b in axis]
+    noise_variance = params["noise_variance"]
     empty = ObservationSet(
-        locations=np.zeros((0, 2), dtype=np.int64),
-        values=np.zeros(0),
-        noise_variance=float(params["noise_variance"]),
+        locations=np.zeros((0, 2), dtype=np.int64), values=np.zeros(0), noise_variance=noise_variance
     )
-    picks = greedy_sensor_placement(table, empty, candidates, int(params["count"]))
+    picks = greedy_sensor_placement(table, empty, candidates, params["count"])
 
     rows = []
     chosen: list[tuple[int, int]] = []
@@ -471,67 +373,42 @@ def cmd_place_sensors(args: argparse.Namespace) -> int:
         pseudo = ObservationSet(
             locations=np.asarray(chosen, dtype=np.int64).reshape(-1, 2),
             values=np.zeros(len(chosen)),
-            noise_variance=float(params["noise_variance"]),
+            noise_variance=noise_variance,
         )
         post = fit_posterior(table, pseudo)
         rows.append((order, point[0], point[1], float(post.variance_at([point])[0])))
         chosen.append(point)
     write_csv(outdir / "sensors.csv", ["order", "ix", "iy", "variance"], rows)
-    write_manifest(outdir, "place-sensors", params, params["seed"], watch.elapsed())
-    return EXIT_OK
 
 
-def cmd_reconstruct(args: argparse.Namespace) -> int:
-    watch = Stopwatch()
-    params = _resolve(
-        args,
-        {
-            "field": None,
-            "truth": "gaussian",
-            "n": 128,
-            "alpha_true": 1.5,
-            "m": 100,
-            "noise": 0.1,
-            "kernel": "cht",
-            "alpha": None,
-            "length_scale": None,
-            "nu": None,
-            "level": 0.95,
-            "seed": None,
-            "gamma": 1.0,
-            "out": ".",
-        },
-    )
-    params["seed"] = _coerce_seed(params["seed"])
-    outdir = _ensure_outdir(params["out"])
+def _read_truth(path_text: str) -> RealField:
+    try:
+        truth = read_field_dump(path_text)
+    except OSError as exc:
+        raise UsageError(f"cannot read field dump {path_text}: {exc}") from exc
+    if not isinstance(truth, RealField):
+        raise UsageError("reconstruct expects a real-field dump as truth")
+    return truth
 
+
+def cmd_reconstruct(params: dict) -> None:
+    if params["kernel"] == FAMILY_CHT:
+        if params["alpha"] is None:
+            params["alpha"] = params["alpha_true"]
+        _check_alpha_gamma(params["alpha"], params["gamma"])
+    spec = _kernel_from_params(params)
     if params["field"]:
-        loaded = read_field_dump(params["field"])
-        if not isinstance(loaded, RealField):
-            raise UsageError("reconstruct expects a real-field dump as truth")
-        truth = loaded
+        truth = _read_truth(params["field"])
         grid = truth.grid
     else:
-        grid = GridSpec(int(params["n"]))
+        grid = GridSpec(params["n"])
         if params["truth"] == "gaussian":
-            truth = generate_cht_truth(
-                float(params["alpha_true"]), grid, derive_seed(params["seed"], 0)
-            )
-        elif params["truth"] == "vortex":
-            truth = generate_vortex_truth(
-                VortexParams(), grid, derive_seed(params["seed"], 0)
-            )
+            truth = generate_cht_truth(params["alpha_true"], grid, derive_seed(params["seed"], 0))
         else:
-            raise UsageError("--truth must be 'gaussian' or 'vortex'")
+            truth = generate_vortex_truth(VortexParams(), grid, derive_seed(params["seed"], 0))
+    outdir = _ensure_outdir(params["out"])
 
-    if params["kernel"] == "cht" and params["alpha"] is None:
-        params["alpha"] = params["alpha_true"]
-    if params["kernel"] == "cht":
-        _check_alpha_gamma(float(params["alpha"]), float(params["gamma"]))
-    spec = _kernel_from_params(params)
-    obs = observe(
-        truth, int(params["m"]), float(params["noise"]), derive_seed(params["seed"], 1)
-    )
+    obs = observe(truth, params["m"], params["noise"], derive_seed(params["seed"], 1))
     if spec.family != FAMILY_CHT and spec.length_scale is None:
         spec = resolve_candidate(spec, obs, grid)
 
@@ -539,15 +416,13 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     write_field_dump(outdir / "mean.json", post.mean_field, seed=params["seed"])
     write_field_dump(outdir / "variance.json", post.variance_field, seed=params["seed"])
 
-    level = float(params["level"])
-    if not (0.0 < level < 1.0):
-        raise UsageError("--level must lie strictly between 0 and 1")
+    level = params["level"]
     z = float(_std_normal.ppf(0.5 + 0.5 * level))
     half = z * np.sqrt(np.maximum(post.variance_field.values, 0.0))
     inside = np.abs(truth.values - post.mean_field.values) <= half
     diff = post.mean_field.values - truth.values
     rmse = float(np.sqrt(np.mean(diff**2)))
-    summary = {
+    _write_summary(outdir / "credible_summary.json", {
         "level": level,
         "z": z,
         "coverage": float(np.mean(inside)),
@@ -557,20 +432,78 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         "eps": rmse / float(np.std(truth.values)),
         "kernel": spec.tag,
         "jitter": post.jitter,
-    }
-    (outdir / "credible_summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    )
-    write_manifest(outdir, "reconstruct", params, params["seed"], watch.elapsed())
-    return EXIT_OK
+    })
 
 
-def _add_common(parser: argparse.ArgumentParser, jobs: bool = False) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="master seed (env TURBOGP_SEED, then 0)")
-    parser.add_argument("--out", type=str, default=None, help="output directory (default: current)")
-    parser.add_argument("--config", type=str, default=None, help="JSON config file; flags override it")
-    if jobs:
-        parser.add_argument("--jobs", type=int, default=None, help="worker threads (default: all cores)")
+def _command(handler: Callable[[dict], None], help: str, *params: Param) -> Command:
+    return Command(handler, help, params + _COMMON)
+
+
+COMMANDS: dict[str, Command] = {
+    "sample": _command(
+        cmd_sample, "draw a power-law field and dump it with its spectrum",
+        _N, Param("alpha", float, 1.5, help="spectral exponent"), _GAMMA,
+    ),
+    "validate-spectrum": _command(
+        cmd_validate_spectrum, "fit measured spectral exponents per alpha",
+        Param("alphas", _float_list, (1.5, 2.0, 2.5), help="spectral exponents"),
+        _N,
+        Param("seeds", _count, 10, help="samples averaged per alpha"),
+        Param("k_min", int, help="lowest fitted shell (default: automatic)"),
+        Param("k_max", int, help="highest fitted shell (default: automatic)"),
+    ),
+    "compare": _command(
+        cmd_compare, "power-law vs tuned RBF reconstruction over trials",
+        _TRUTH, _N, _ALPHA_TRUE,
+        Param(
+            "alpha", float,
+            help="reconstruction exponent (default: --alpha-true for a gaussian truth, "
+            f"else {VORTEX_RECONSTRUCTION_ALPHA})",
+        ),
+        _M, _NOISE, _TRIALS, _GAMMA, _JOBS,
+    ),
+    "sweep-alpha": _command(
+        cmd_sweep_alpha, "improvement vs reconstruction exponent",
+        Param("alphas", _float_list, (0.75, 1.0, 1.25, 1.5), help="reconstruction exponents"),
+        _ALPHA_TRUE, _N, _M, _NOISE, _TRIALS, _GAMMA, _JOBS,
+    ),
+    "sweep-density": _command(
+        cmd_sweep_density, "improvement vs observation count",
+        Param("m", _int_list, (20, 60, 150), help="observation counts"),
+        _ALPHA_TRUE,
+        Param("alpha", float, help="reconstruction exponent (default: --alpha-true)"),
+        _N, _NOISE, _TRIALS, _GAMMA, _JOBS,
+    ),
+    "place-sensors": _command(
+        cmd_place_sensors, "greedy max-variance sensor placement",
+        Param("n", int, 64, help="grid points per side"),
+        _KERNEL,
+        Param("alpha", float, 1.5, help="power-law exponent"),
+        _LENGTH_SCALE, _NU,
+        Param("count", _count, 8, help="sensors to place"),
+        Param("noise_variance", float, 0.01, help="sensor noise variance"),
+        Param("candidate_stride", int, 1, help="candidate spacing, a divisor of n"),
+        _GAMMA,
+    ),
+    "reconstruct": _command(
+        cmd_reconstruct, "posterior mean/variance fields and credible summary",
+        Param("field", str, help="truth field dump (json header path) instead of --truth"),
+        _TRUTH, _N, _ALPHA_TRUE, _M, _NOISE, _KERNEL,
+        Param("alpha", float, help="power-law exponent (default: --alpha-true)"),
+        _LENGTH_SCALE, _NU,
+        Param("level", _level, 0.95, help="credible level"),
+        _GAMMA,
+    ),
+}
+
+
+def _help_text(param: Param) -> str:
+    if param.default is None:
+        return param.help
+    default = param.default
+    if isinstance(default, tuple):
+        default = ",".join(map(str, default))
+    return f"{param.help} (default: {default})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -581,103 +514,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"turbogp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sample", help="draw a power-law field and dump it with its spectrum")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("validate-spectrum", help="fit measured spectral exponents per alpha")
-    p.add_argument("--alphas", type=_float_list, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seeds", type=int, default=None)
-    p.add_argument("--k-min", dest="k_min", type=int, default=None)
-    p.add_argument("--k-max", dest="k_max", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_validate_spectrum)
-
-    p = sub.add_parser("compare", help="power-law vs tuned RBF reconstruction over trials")
-    p.add_argument("--truth", type=str, default=None, choices=("gaussian", "vortex"))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--alpha-true", dest="alpha_true", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None, help="reconstruction exponent")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    _add_common(p, jobs=True)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("sweep-alpha", help="improvement vs reconstruction exponent")
-    p.add_argument("--alphas", type=_float_list, default=None)
-    p.add_argument("--alpha-true", dest="alpha_true", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    _add_common(p, jobs=True)
-    p.set_defaults(func=cmd_sweep_alpha)
-
-    p = sub.add_parser("sweep-density", help="improvement vs observation count")
-    p.add_argument("--m", type=_int_list, default=None)
-    p.add_argument("--alpha-true", dest="alpha_true", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    _add_common(p, jobs=True)
-    p.set_defaults(func=cmd_sweep_density)
-
-    p = sub.add_parser("place-sensors", help="greedy max-variance sensor placement")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--kernel", type=str, default=None, choices=("cht", "rbf", "matern"))
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--length-scale", dest="length_scale", type=float, default=None)
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--noise-variance", dest="noise_variance", type=float, default=None)
-    p.add_argument("--candidate-stride", dest="candidate_stride", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_place_sensors)
-
-    p = sub.add_parser("reconstruct", help="posterior mean/variance fields and credible summary")
-    p.add_argument("--field", type=str, default=None, help="truth field dump (json header path)")
-    p.add_argument("--truth", type=str, default=None, choices=("gaussian", "vortex"))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--alpha-true", dest="alpha_true", type=float, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--kernel", type=str, default=None, choices=("cht", "rbf", "matern"))
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--length-scale", dest="length_scale", type=float, default=None)
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--level", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_reconstruct)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for param in command.params:
+            p.add_argument(
+                "--" + param.name.replace("_", "-"),
+                type=param.type,
+                choices=param.choices or None,
+                help=_help_text(param),
+            )
+        p.add_argument("--config", help="JSON config file of these parameters; flags override it")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    watch = Stopwatch()
+    command = COMMANDS[args.command]
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"turbogp: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+        params = _resolve(args, command.params)
+        params["seed"] = _coerce_seed(params["seed"])
+        command.handler(params)
+        write_manifest(params["out"], args.command, params, params["seed"], watch.elapsed())
+    except (UsageError, ValueError) as exc:
         print(f"turbogp: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FactorizationError as exc:
         print(f"turbogp: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -11,13 +11,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .gp_inference import ObservationSet, fit_posterior, select_hyperparameter
-from .kernels import (
-    FAMILY_CHT,
-    KernelSpec,
-    build_kernel_table,
-    spectral_density,
-    tune_length_scale_candidates,
-)
+from .kernels import FAMILY_CHT, KernelSpec, build_kernel_table, spectral_density
 from .spectral_field import (
     GridSpec,
     PowerLawFit,
@@ -206,7 +200,7 @@ def resolve_candidate(
 ) -> KernelSpec:
     """Fill in an unspecified baseline length scale by evidence maximization."""
     if spec.family != FAMILY_CHT and spec.length_scale is None:
-        candidates = tune_length_scale_candidates(spec, RBF_LENGTH_SCALES)
+        candidates = [replace(spec, length_scale=ell) for ell in RBF_LENGTH_SCALES]
         return select_hyperparameter(candidates, obs, grid)
     return spec
 

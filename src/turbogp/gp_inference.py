@@ -28,6 +28,8 @@ from .kernels import (
     FactorizationError,
     KernelSpec,
     KernelTable,
+    _check_on_grid,
+    _offset_gather,
     gram_matrix,
     robust_cholesky,
     spectral_density,
@@ -50,7 +52,10 @@ class ObservationSet:
     noise_variance: float
 
     def __post_init__(self) -> None:
-        locs = np.array(self.locations, dtype=np.int64, copy=True).reshape(-1, 2)
+        raw = np.asarray(self.locations).reshape(-1, 2)
+        if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.round(raw))):
+            raise ValueError("observation locations must be integral grid indices")
+        locs = raw.astype(np.int64)
         vals = np.array(self.values, dtype=np.float64, copy=True).reshape(-1)
         if len(locs) != len(vals):
             raise ValueError("locations and values must have equal length")
@@ -127,7 +132,8 @@ class Posterior:
     def variance_at(self, points) -> np.ndarray:
         """Clamped posterior variance at grid points, O(m^2) per point."""
         pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
-        cross = _cross_cols(self.kernel, self.obs.locations, pts)
+        _check_on_grid(pts, self.kernel.grid.n, "points")
+        cross = _offset_gather(self.kernel.values, self.obs.locations, pts)
         half = solve_triangular(self.chol, cross, lower=True)
         return np.maximum(self.kernel.spec.variance - np.einsum("ij,ij->j", half, half), 0.0)
 
@@ -217,7 +223,6 @@ def energy_variance(post: Posterior) -> float:
     equivalent to the dense Frobenius computation at O(m^2) cost.
     """
     grid = post.kernel.grid
-    n = grid.n
     dens = spectral_density(post.kernel.spec, grid).grid_values
     prior_term = float(np.sum(dens**2))
     if post.obs.m == 0:
@@ -225,10 +230,8 @@ def energy_variance(post: Posterior) -> float:
     t2 = _power_table(grid, dens, 2)
     t3 = _power_table(grid, dens, 3)
     locs = post.obs.locations
-    da = (locs[:, 0][:, None] - locs[:, 0][None, :]) % n
-    db = (locs[:, 1][:, None] - locs[:, 1][None, :]) % n
-    t2_pairs = t2[da, db]
-    t3_pairs = t3[da, db]
+    t2_pairs = _offset_gather(t2, locs, locs)
+    t3_pairs = _offset_gather(t3, locs, locs)
     cross = float(np.trace(cho_solve((post.chol, True), t3_pairs)))
     y = cho_solve((post.chol, True), t2_pairs)
     rank_m = float(np.sum(y * y.T))
@@ -265,6 +268,7 @@ def greedy_sensor_placement(
     if method not in ("fast", "refit"):
         raise ValueError("method must be 'fast' or 'refit'")
     n = kernel.grid.n
+    _check_on_grid(cands, n, "candidates")
     if method == "refit":
         return _greedy_refit(kernel, obs, cands, count)
 
@@ -275,7 +279,8 @@ def greedy_sensor_placement(
     half = np.empty((m + count, len(cands)))
     if m:
         chol, _ = _factorized_gram(kernel, obs)
-        half[:m] = solve_triangular(chol, _cross_cols(kernel, obs.locations, cands), lower=True)
+        cross = _offset_gather(kernel.values, obs.locations, cands)
+        half[:m] = solve_triangular(chol, cross, lower=True)
     variances = sigma2 - np.einsum("ij,ij->j", half[:m], half[:m])
 
     selected: list[tuple[int, int]] = []
@@ -294,17 +299,10 @@ def greedy_sensor_placement(
         if d_sq <= 0.0:
             raise FactorizationError("pseudo-observation update lost positivity")
         d = np.sqrt(d_sq)
-        row_cross = _cross_cols(kernel, np.asarray([point], dtype=np.int64), cands)[0]
+        row_cross = _offset_gather(kernel.values, cands[pick : pick + 1], cands)[0]
         half[m + k] = (row_cross - ell @ rows) / d
         variances = variances - half[m + k] ** 2
     return selected
-
-
-def _cross_cols(kernel: KernelTable, points: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    n = kernel.grid.n
-    da = (points[:, 0][:, None] - cands[:, 0][None, :]) % n
-    db = (points[:, 1][:, None] - cands[:, 1][None, :]) % n
-    return kernel.values[da, db]
 
 
 def _greedy_refit(

@@ -62,19 +62,23 @@ def write_field_dump(
 def read_field_dump(json_path: Union[str, Path]) -> Union[RealField, SpectralField]:
     json_path = Path(json_path)
     header = json.loads(json_path.read_text())
-    n = int(header["n"])
+    if not isinstance(header, dict):
+        raise ValueError(f"{json_path}: field dump header must be a JSON object")
+    n, kind = header.get("n"), header.get("kind")
+    if type(n) is not int:
+        raise ValueError(f"{json_path}: field dump header needs an integer 'n', got {n!r}")
+    if kind not in ("real", "spectral"):
+        raise ValueError(f"{json_path}: unknown field kind {kind!r}")
     grid = GridSpec(n)
     raw = np.frombuffer(json_path.with_suffix(".bin").read_bytes(), dtype="<f8")
-    if header["kind"] == "real":
+    if kind == "real":
         if raw.size != n * n:
             raise ValueError("field payload size does not match header")
         return RealField(grid, raw.reshape(n, n))
-    if header["kind"] == "spectral":
-        if raw.size != 2 * n * n:
-            raise ValueError("spectral payload size does not match header")
-        coeffs = raw[0::2] + 1j * raw[1::2]
-        return SpectralField(grid, coeffs.reshape(n, n))
-    raise ValueError(f"unknown field kind {header['kind']!r}")
+    if raw.size != 2 * n * n:
+        raise ValueError("spectral payload size does not match header")
+    coeffs = raw[0::2] + 1j * raw[1::2]
+    return SpectralField(grid, coeffs.reshape(n, n))
 
 
 def write_manifest(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -234,17 +234,31 @@ def gram_matrix(table: KernelTable, locations, jitter: float = 0.0) -> np.ndarra
     locs = np.asarray(locations, dtype=np.int64)
     if locs.ndim != 2 or locs.shape[1] != 2:
         raise ValueError("locations must be an (m, 2) array of grid indices")
-    n = table.grid.n
-    if np.any(locs < 0) or np.any(locs >= n):
-        raise ValueError("locations must be on-grid indices in [0, n)")
+    _check_on_grid(locs, table.grid.n, "locations")
     if jitter < 0:
         raise ValueError("jitter must be nonnegative")
-    da = (locs[:, 0][:, None] - locs[:, 0][None, :]) % n
-    db = (locs[:, 1][:, None] - locs[:, 1][None, :]) % n
-    g = table.values[da, db]
+    g = _offset_gather(table.values, locs, locs)
     if jitter:
         g = g + jitter * np.eye(len(locs))
     return g
+
+
+def _check_on_grid(points: np.ndarray, n: int, what: str) -> None:
+    if np.any(points < 0) or np.any(points >= n):
+        raise ValueError(f"{what} must be on-grid indices in [0, {n})")
+
+
+def _offset_gather(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``values`` at the periodic offset ``a_i - b_j`` for every row i of ``a``, column j of ``b``.
+
+    ``values`` is an ``n x n`` table over offsets; ``a`` and ``b`` are
+    ``(k, 2)`` integer grid indices.  Offsets wrap, so an off-grid index would
+    silently alias an on-grid one: the public entries reject them first.
+    """
+    n = values.shape[0]
+    da = (a[:, 0][:, None] - b[:, 0][None, :]) % n
+    db = (a[:, 1][:, None] - b[:, 1][None, :]) % n
+    return values[da, db]
 
 
 def robust_cholesky(matrix: np.ndarray, variance: float) -> tuple[np.ndarray, float]:
@@ -313,19 +327,3 @@ def check_admissible(alpha: float, gamma: float) -> bool:
     if gamma == 1.0:
         return alpha > 0.0
     return alpha - (2.0 - gamma) > _ADMISSIBILITY_EPS
-
-
-def tune_length_scale_candidates(base: KernelSpec, scales: Sequence[float]) -> list[KernelSpec]:
-    """Concrete specs over a length-scale grid for evidence-based selection."""
-    out = []
-    for ell in scales:
-        out.append(
-            KernelSpec(
-                family=base.family,
-                alpha=base.alpha,
-                length_scale=float(ell),
-                nu=base.nu,
-                variance=base.variance,
-            )
-        )
-    return out

@@ -6,13 +6,27 @@ import json
 import numpy as np
 import pytest
 
-from turbogp.cli import main
+from turbogp.cli import COMMANDS, main
 from turbogp.io import read_field_dump, write_field_dump
 from turbogp import GridSpec, RealField, SpectralField
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def exit_code(*argv):
+    """The exit code of a run, including argparse's for a rejected flag."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def write_config(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)
 
 
 class TestFieldDump:
@@ -38,6 +52,20 @@ class TestFieldDump:
         loaded = read_field_dump(path)
         assert isinstance(loaded, SpectralField)
         assert np.array_equal(loaded.coeffs, field.coeffs)
+
+    @pytest.mark.parametrize("header", [
+        {"n": 16},                      # no kind
+        {"n": 16, "kind": "complex"},   # unknown kind
+        {"kind": "real"},               # no n
+        {"n": 16.5, "kind": "real"},    # fractional n
+        [16, "real"],                   # not an object
+    ])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "f.json"
+        write_field_dump(path, RealField(GridSpec(16), np.zeros((16, 16))))
+        path.write_text(json.dumps(header))
+        with pytest.raises(ValueError):
+            read_field_dump(path)
 
     def test_payload_is_little_endian_float64(self, tmp_path):
         grid = GridSpec(16)
@@ -118,6 +146,15 @@ class TestCompareCommand:
         assert lines[0] == "seed,kernel,eps,rmse,improvement_pct,winner"
         assert len(lines) == 1 + 3 * 2  # two kernels per trial
 
+    @pytest.mark.parametrize("flag", [("--trials", "0"), ("--jobs", "0"), ("--jobs", "-1"),
+                                      ("--trials", "1.9")])
+    def test_non_positive_counts_rejected_before_any_work(self, tmp_path, flag):
+        # --trials 0 used to write NaN into summary.json; --jobs 0 and -1
+        # silently meant all cores and serial
+        out = tmp_path / "out"
+        assert exit_code("compare", "--n", "16", "--m", "10", *flag, "--out", str(out)) == 2
+        assert not out.exists()
+
     def test_gaussian_compare_deterministic(self, tmp_path):
         args = ("compare", "--truth", "gaussian", "--n", "32", "--m", "30",
                 "--noise", "0.1", "--trials", "2", "--seed", "5", "--jobs", "2")
@@ -195,6 +232,27 @@ class TestReconstructCommand:
                        "--seed", "3", "--out", str(out)) == 0
         assert (out / "credible_summary.json").exists()
 
+    def test_level_out_of_range_creates_nothing(self, tmp_path):
+        out = tmp_path / "rec"
+        assert exit_code("reconstruct", "--n", "16", "--m", "10", "--level", "1.5",
+                         "--out", str(out)) == 2
+        assert exit_code("reconstruct", "--n", "16", "--m", "10",
+                         "--config", write_config(tmp_path, {"level": 1.5}),
+                         "--out", str(out)) == 2
+        assert not out.exists()
+
+    def test_missing_field_dump_is_a_usage_error(self, tmp_path, capsys):
+        assert run_cli("reconstruct", "--field", str(tmp_path / "missing.json"),
+                       "--m", "10", "--out", str(tmp_path / "rec")) == 2
+        assert "cannot read field dump" in capsys.readouterr().err
+
+    def test_field_dump_without_kind_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "f.json"
+        write_field_dump(path, RealField(GridSpec(16), np.zeros((16, 16))))
+        path.write_text(json.dumps({"n": 16}))
+        assert run_cli("reconstruct", "--field", str(path), "--m", "10",
+                       "--out", str(tmp_path / "rec")) == 2
+
     def test_non_finite_truth_is_a_usage_error(self, tmp_path, capsys):
         values = np.zeros((16, 16))
         values[::2] = np.nan
@@ -221,6 +279,53 @@ class TestConfigAndEnvironment:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"nope": 1}))
         assert run_cli("sample", "--config", str(config), "--out", str(tmp_path)) == 2
+
+    def test_config_file_must_be_an_object(self, tmp_path, capsys):
+        config = write_config(tmp_path, [1, 2])
+        assert run_cli("sample", "--config", config, "--out", str(tmp_path)) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_scalar_config_value_for_a_list_parameter(self, tmp_path):
+        # {"m": 30} used to crash with a TypeError traceback
+        config = write_config(tmp_path, {"m": 30})
+        out = tmp_path / "out"
+        assert run_cli("sweep-density", "--config", config, "--n", "16", "--trials", "1",
+                       "--jobs", "1", "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_echo"]["m"] == [30]
+        assert len((out / "density.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("config", [
+        {"trials": 1.9},        # used to run 1 trial and echo 1.9
+        {"trials": 0},
+        {"jobs": -1},
+        {"truth": "turbulent"},
+        {"n": "sixteen"},
+        {"n": [16]},
+        {"m": True},
+    ])
+    def test_config_values_checked_like_flags(self, tmp_path, config):
+        small = {"n": 16, "m": 10, "trials": 1, "jobs": 1}
+        out = tmp_path / "out"
+        assert run_cli("compare", "--config", write_config(tmp_path, {**small, **config}),
+                       "--out", str(out)) == 2
+        assert not out.exists()
+
+    def test_config_values_resolve_like_flags(self, tmp_path):
+        common = ("--n", "16", "--m", "12", "--trials", "2", "--seed", "3", "--jobs", "1")
+        config = write_config(tmp_path, {"alphas": [1.0, 1.5], "noise": 0.05, "gamma": 1})
+        assert run_cli("sweep-alpha", *common, "--config", config,
+                       "--out", str(tmp_path / "config")) == 0
+        assert run_cli("sweep-alpha", *common, "--alphas", "1.0,1.5", "--noise", "0.05",
+                       "--gamma", "1", "--out", str(tmp_path / "flags")) == 0
+        for name in ("alpha.csv", "summary.json"):
+            assert (tmp_path / "config" / name).read_bytes() == \
+                (tmp_path / "flags" / name).read_bytes()
+        echoes = [json.loads((tmp_path / d / "manifest.json").read_text())["config_echo"]
+                  for d in ("config", "flags")]
+        for echo in echoes:
+            del echo["out"]
+        assert echoes[0] == echoes[1]
 
     def test_env_seed_is_last_resort(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TURBOGP_SEED", "31")
@@ -252,3 +357,25 @@ class TestConfigAndEnvironment:
                        "--m", "10", "--seed", "1", "--out", str(tmp_path))
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestParameterTable:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_help_lists_every_parameter(self, command, capsys):
+        assert exit_code(command, "--help") == 0
+        text = capsys.readouterr().out
+        flags = [param.name.replace("_", "-") for param in COMMANDS[command].params]
+        for flag in flags + ["config"]:
+            assert f"[--{flag} " in text  # the usage line, e.g. "[--alpha-true ALPHA_TRUE]"
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_no_flag_run_echoes_table_defaults(self, command, tmp_path, monkeypatch):
+        monkeypatch.delenv("TURBOGP_SEED", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(command) == 0
+        expected = {param.name: param.default for param in COMMANDS[command].params}
+        expected["seed"] = 0
+        if command == "reconstruct":
+            expected["alpha"] = expected["alpha_true"]  # the cht exponent follows the truth
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config_echo"] == json.loads(json.dumps(expected))

@@ -53,6 +53,17 @@ class TestObservationSet:
         with pytest.raises(ValueError, match="finite"):
             ObservationSet(np.array([[0, 0]]), np.array([1.0]), bad)
 
+    @pytest.mark.parametrize("bad", [1.7, np.nan, np.inf])
+    def test_fractional_location_rejected(self, bad):
+        # [[1.7, 2]] used to become [[1, 2]]
+        with pytest.raises(ValueError, match="integral"):
+            ObservationSet(np.array([[bad, 2.0]]), np.array([1.0]), 0.1)
+
+    def test_integral_float_location_accepted(self):
+        obs = ObservationSet(np.array([[1.0, 2.0]]), np.array([1.0]), 0.1)
+        assert obs.locations.dtype == np.int64
+        assert obs.locations.tolist() == [[1, 2]]
+
 
 class TestFitPosterior:
     def test_empty_observations_recover_prior(self, cht_table16):
@@ -144,6 +155,13 @@ class TestLazyPosterior:
         want = post.variance_field.values[points[:, 0], points[:, 1]]
         assert got.shape == (4,)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("point", [(17, 2), (-15, 2), (1, 16), (1, -1)])
+    def test_variance_at_rejects_off_grid_points(self, cht_table16, point):
+        # (17, 2) and (-15, 2) would otherwise alias (1, 2) on n = 16
+        post = fit_posterior(cht_table16, _random_obs(cht_table16.grid, 5, seed=34))
+        with pytest.raises(ValueError, match="on-grid"):
+            post.variance_at([(1, 2), point])
 
     @given(
         m=st.integers(0, 10),
@@ -340,6 +358,11 @@ class TestGreedyPlacement:
         obs = ObservationSet(np.zeros((0, 2), dtype=int), np.zeros(0), 0.01)
         with pytest.raises(ValueError):
             greedy_sensor_placement(cht_table16, obs, [(0, 0)], 2)
+
+    def test_off_grid_candidate_rejected(self, cht_table16):
+        obs = ObservationSet(np.zeros((0, 2), dtype=int), np.zeros(0), 0.01)
+        with pytest.raises(ValueError, match="on-grid"):
+            greedy_sensor_placement(cht_table16, obs, [(0, 0), (16, 3)], 1)
 
     def test_monotone_kernel_sends_pick_to_antipode(self, grid16):
         # hand-built table decaying with torus distance; with one sensor at
