@@ -6,9 +6,11 @@ choices).  The rows generate the argparse subparser and the config-file
 merge, so each default, type and choice is stated once.  A value from
 ``--config file.json`` goes through the flag's own converter and choices
 (a JSON list is read as its comma-separated flag text), and an explicit flag
-overrides it.  ``--seed`` and ``--out`` are appended to every command.
-Handlers take the resolved parameters; :func:`main` starts the stopwatch,
-fills in the seed, writes the manifest and maps errors to exit codes.
+overrides it.  Float rows reject ``inf`` and ``nan`` (``--noise-variance``
+is checked by :class:`ObservationSet` instead).  ``--seed`` and ``--out``
+are appended to every command.  Handlers take the resolved parameters and
+call the library for every computation; :func:`main` times the run, fills in
+the seed, writes the manifest and maps errors to exit codes.
 
 Exit codes: 0 on success, 2 on usage errors (bad flags or config values,
 invalid parameter ranges, unreadable inputs, unwritable output), 3 on
@@ -19,22 +21,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+import time
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.stats import norm as _std_normal
 
 from . import __version__
 from .experiments import (
-    TRUTH_GAUSSIAN, TRUTH_VORTEX, TrialConfig, VortexParams, derive_seed, generate_cht_truth,
-    generate_vortex_truth, observe, resolve_candidate, run_comparison, spectral_validation,
-    sweep_alpha, sweep_density,
+    TRUTH_GAUSSIAN, TRUTH_KINDS, TrialConfig, aggregate_point, derive_seed, generate_truth,
+    observe, resolve_candidate, run_comparison, spectral_validation, sweep_alpha, sweep_density,
 )
-from .gp_inference import ObservationSet, fit_posterior, greedy_sensor_placement
-from .io import Stopwatch, read_field_dump, write_csv, write_field_dump, write_manifest
+from .gp_inference import ObservationSet, fit_posterior, greedy_sensor_placement, normal_quantile
+from .io import read_field_dump, write_csv, write_field_dump, write_manifest
 from .kernels import (
     FAMILIES, FAMILY_CHT, FAMILY_RBF, FactorizationError, KernelSpec, build_kernel_table,
     check_admissible, spectral_density,
@@ -80,7 +82,7 @@ def _checked(convert: Callable[[str], object], valid: Callable, what: str) -> Ca
             value = convert(text)
             if valid(value):
                 return value
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             pass
         raise argparse.ArgumentTypeError(f"expected {what}: {text!r}")
 
@@ -91,7 +93,8 @@ def _parts(convert: Callable[[str], object]) -> Callable[[str], list]:
     return lambda text: [convert(part) for part in text.split(",") if part != ""]
 
 
-_float_list = _checked(_parts(float), bool, "comma-separated floats")
+_finite = _checked(float, math.isfinite, "a finite number")
+_float_list = _checked(_parts(_finite), bool, "comma-separated finite numbers")
 _int_list = _checked(_parts(int), bool, "comma-separated integers")
 _LIST_TYPES = (_float_list, _int_list)
 #: trials, seeds, picks and worker threads
@@ -102,15 +105,15 @@ _level = _checked(float, lambda value: 0.0 < value < 1.0, "a level strictly betw
 # Rows shared by several commands, with the same meaning in each.
 _N = Param("n", int, 128, help="grid points per side")
 _M = Param("m", int, 100, help="observations per trial")
-_ALPHA_TRUE = Param("alpha_true", float, 1.5, help="exponent of the gaussian truth")
-_NOISE = Param("noise", float, 0.1, help="noise std as a fraction of the truth's RMS")
+_ALPHA_TRUE = Param("alpha_true", _finite, 1.5, help="exponent of the gaussian truth")
+_NOISE = Param("noise", _finite, 0.1, help="noise std as a fraction of the truth's RMS")
 _TRIALS = Param("trials", _count, 20, help="independent trials")
-_GAMMA = Param("gamma", float, 1.0, help="dissipation exponent, in (2/3, 1]")
+_GAMMA = Param("gamma", _finite, 1.0, help="dissipation exponent, in (2/3, 1]")
 _JOBS = Param("jobs", _count, os.cpu_count() or 1, help="worker threads, one per core unless set")
-_TRUTH = Param("truth", str, "gaussian", ("gaussian", "vortex"), "kind of ground-truth field")
+_TRUTH = Param("truth", str, TRUTH_GAUSSIAN, TRUTH_KINDS, "kind of ground-truth field")
 _KERNEL = Param("kernel", str, FAMILY_CHT, FAMILIES, "prior kernel family")
-_LENGTH_SCALE = Param("length_scale", float, help="baseline length scale")
-_NU = Param("nu", float, help="Matern smoothness, required for --kernel matern")
+_LENGTH_SCALE = Param("length_scale", _finite, help="baseline length scale")
+_NU = Param("nu", _finite, help="Matern smoothness, required for --kernel matern")
 _COMMON = (
     Param("seed", int, help=f"master seed (default: env {ENV_SEED}, then 0)"),
     Param("out", str, ".", help="output directory"),
@@ -280,14 +283,12 @@ def _trials_rows(results) -> list[tuple]:
 
 
 def cmd_compare(params: dict) -> None:
-    gaussian = params["truth"] == "gaussian"
     alpha = params["alpha"]
     if alpha is None:
+        gaussian = params["truth"] == TRUTH_GAUSSIAN
         alpha = params["alpha_true"] if gaussian else VORTEX_RECONSTRUCTION_ALPHA
     _check_alpha_gamma(alpha, params["gamma"])
-    base = _trial_config(
-        params, alpha, params["m"], truth_kind=TRUTH_GAUSSIAN if gaussian else TRUTH_VORTEX
-    )
+    base = _trial_config(params, alpha, params["m"], truth_kind=params["truth"])
     outdir = _ensure_outdir(params["out"])
 
     results = run_comparison(base, params["trials"], jobs=params["jobs"])
@@ -300,16 +301,16 @@ def cmd_compare(params: dict) -> None:
     rbf_tag = base.kernel_candidates[1].tag
     eps_cht = np.array([r.per_kernel[cht_tag].eps for r in results])
     eps_rbf = np.array([r.per_kernel[rbf_tag].eps for r in results])
-    imps = np.array([r.improvement_pct for r in results])
+    point = aggregate_point(alpha, results)
     _write_summary(outdir / "summary.json", {
         "trials": len(results),
         "mean_eps_cht": float(eps_cht.mean()),
         "mean_eps_rbf": float(eps_rbf.mean()),
         "std_eps_cht": float(eps_cht.std(ddof=1)) if len(results) > 1 else 0.0,
         "std_eps_rbf": float(eps_rbf.std(ddof=1)) if len(results) > 1 else 0.0,
-        "win_rate": float(np.mean(eps_cht < eps_rbf)),
-        "mean_improvement_pct": float(imps.mean()),
-        "std_improvement_pct": float(imps.std(ddof=1)) if len(results) > 1 else 0.0,
+        "win_rate": point.win_rate,
+        "mean_improvement_pct": point.mean_improvement,
+        "std_improvement_pct": point.std_improvement,
     })
 
 
@@ -356,28 +357,26 @@ def cmd_place_sensors(params: dict) -> None:
     stride = params["candidate_stride"]
     if stride < 1 or grid.n % stride != 0:
         raise UsageError("--candidate-stride must be a positive divisor of n")
+    noise_variance = params["noise_variance"]
+    empty = ObservationSet(
+        locations=np.zeros((0, 2), dtype=np.int64), values=np.zeros(0), noise_variance=noise_variance
+    )
     outdir = _ensure_outdir(params["out"])
 
     table = build_kernel_table(spec, grid)
     axis = np.arange(0, grid.n, stride)
     candidates = [(int(a), int(b)) for a in axis for b in axis]
-    noise_variance = params["noise_variance"]
-    empty = ObservationSet(
-        locations=np.zeros((0, 2), dtype=np.int64), values=np.zeros(0), noise_variance=noise_variance
-    )
     picks = greedy_sensor_placement(table, empty, candidates, params["count"])
 
     rows = []
-    chosen: list[tuple[int, int]] = []
     for order, point in enumerate(picks):
         pseudo = ObservationSet(
-            locations=np.asarray(chosen, dtype=np.int64).reshape(-1, 2),
-            values=np.zeros(len(chosen)),
+            locations=np.asarray(picks[:order], dtype=np.int64).reshape(-1, 2),
+            values=np.zeros(order),
             noise_variance=noise_variance,
         )
         post = fit_posterior(table, pseudo)
         rows.append((order, point[0], point[1], float(post.variance_at([point])[0])))
-        chosen.append(point)
     write_csv(outdir / "sensors.csv", ["order", "ix", "iy", "variance"], rows)
 
 
@@ -402,23 +401,20 @@ def cmd_reconstruct(params: dict) -> None:
         grid = truth.grid
     else:
         grid = GridSpec(params["n"])
-        if params["truth"] == "gaussian":
-            truth = generate_cht_truth(params["alpha_true"], grid, derive_seed(params["seed"], 0))
-        else:
-            truth = generate_vortex_truth(VortexParams(), grid, derive_seed(params["seed"], 0))
+        truth = generate_truth(
+            params["truth"], params["alpha_true"], grid, derive_seed(params["seed"], 0)
+        )
+    obs = observe(truth, params["m"], params["noise"], derive_seed(params["seed"], 1))
     outdir = _ensure_outdir(params["out"])
 
-    obs = observe(truth, params["m"], params["noise"], derive_seed(params["seed"], 1))
-    if spec.family != FAMILY_CHT and spec.length_scale is None:
-        spec = resolve_candidate(spec, obs, grid)
-
+    spec = resolve_candidate(spec, obs, grid)
     post = fit_posterior(build_kernel_table(spec, grid), obs)
     write_field_dump(outdir / "mean.json", post.mean_field, seed=params["seed"])
     write_field_dump(outdir / "variance.json", post.variance_field, seed=params["seed"])
 
     level = params["level"]
-    z = float(_std_normal.ppf(0.5 + 0.5 * level))
-    half = z * np.sqrt(np.maximum(post.variance_field.values, 0.0))
+    z = normal_quantile(level)
+    half = z * np.sqrt(post.variance_field.values)
     inside = np.abs(truth.values - post.mean_field.values) <= half
     diff = post.mean_field.values - truth.values
     rmse = float(np.sqrt(np.mean(diff**2)))
@@ -442,7 +438,7 @@ def _command(handler: Callable[[dict], None], help: str, *params: Param) -> Comm
 COMMANDS: dict[str, Command] = {
     "sample": _command(
         cmd_sample, "draw a power-law field and dump it with its spectrum",
-        _N, Param("alpha", float, 1.5, help="spectral exponent"), _GAMMA,
+        _N, Param("alpha", _finite, 1.5, help="spectral exponent"), _GAMMA,
     ),
     "validate-spectrum": _command(
         cmd_validate_spectrum, "fit measured spectral exponents per alpha",
@@ -456,7 +452,7 @@ COMMANDS: dict[str, Command] = {
         cmd_compare, "power-law vs tuned RBF reconstruction over trials",
         _TRUTH, _N, _ALPHA_TRUE,
         Param(
-            "alpha", float,
+            "alpha", _finite,
             help="reconstruction exponent (default: --alpha-true for a gaussian truth, "
             f"else {VORTEX_RECONSTRUCTION_ALPHA})",
         ),
@@ -471,16 +467,17 @@ COMMANDS: dict[str, Command] = {
         cmd_sweep_density, "improvement vs observation count",
         Param("m", _int_list, (20, 60, 150), help="observation counts"),
         _ALPHA_TRUE,
-        Param("alpha", float, help="reconstruction exponent (default: --alpha-true)"),
+        Param("alpha", _finite, help="reconstruction exponent (default: --alpha-true)"),
         _N, _NOISE, _TRIALS, _GAMMA, _JOBS,
     ),
     "place-sensors": _command(
         cmd_place_sensors, "greedy max-variance sensor placement",
         Param("n", int, 64, help="grid points per side"),
         _KERNEL,
-        Param("alpha", float, 1.5, help="power-law exponent"),
+        Param("alpha", _finite, 1.5, help="power-law exponent"),
         _LENGTH_SCALE, _NU,
         Param("count", _count, 8, help="sensors to place"),
+        # a non-finite or negative value is rejected by ObservationSet, before --out
         Param("noise_variance", float, 0.01, help="sensor noise variance"),
         Param("candidate_stride", int, 1, help="candidate spacing, a divisor of n"),
         _GAMMA,
@@ -489,7 +486,7 @@ COMMANDS: dict[str, Command] = {
         cmd_reconstruct, "posterior mean/variance fields and credible summary",
         Param("field", str, help="truth field dump (json header path) instead of --truth"),
         _TRUTH, _N, _ALPHA_TRUE, _M, _NOISE, _KERNEL,
-        Param("alpha", float, help="power-law exponent (default: --alpha-true)"),
+        Param("alpha", _finite, help="power-law exponent (default: --alpha-true)"),
         _LENGTH_SCALE, _NU,
         Param("level", _level, 0.95, help="credible level"),
         _GAMMA,
@@ -529,13 +526,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    watch = Stopwatch()
+    start = time.perf_counter()
     command = COMMANDS[args.command]
     try:
         params = _resolve(args, command.params)
         params["seed"] = _coerce_seed(params["seed"])
         command.handler(params)
-        write_manifest(params["out"], args.command, params, params["seed"], watch.elapsed())
+        write_manifest(
+            params["out"], args.command, params, params["seed"], time.perf_counter() - start
+        )
     except (UsageError, ValueError) as exc:
         print(f"turbogp: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

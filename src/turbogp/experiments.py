@@ -1,9 +1,14 @@
 """Ground-truth generation, the observation model, reconstruction metrics,
 and the experiment protocols (kernel comparison, alpha and density sweeps,
-spectrum validation) with deterministic seed derivation."""
+spectrum validation) with deterministic seed derivation.
+
+A truth is named by one of :data:`TRUTH_KINDS`, the same words as the CLI's
+``--truth``, and :func:`generate_truth` is the one place that draws it.
+"""
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -31,7 +36,6 @@ RBF_LENGTH_SCALES: tuple[float, ...] = tuple(
 
 AXIS_ALPHA = "ALPHA"
 AXIS_DENSITY = "DENSITY"
-AXIS_TRIAL = "TRIAL"
 
 
 def derive_seed(master_seed: int, *path: int) -> int:
@@ -64,8 +68,9 @@ class VortexParams:
             raise ValueError("sign_balance must lie in [0, 1]")
 
 
-TRUTH_GAUSSIAN = "gaussian_cht"
+TRUTH_GAUSSIAN = "gaussian"
 TRUTH_VORTEX = "vortex"
+TRUTH_KINDS = (TRUTH_GAUSSIAN, TRUTH_VORTEX)
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,7 @@ class TrialConfig:
             raise ValueError("need at least one observation")
         if self.noise_ratio < 0:
             raise ValueError("noise_ratio must be nonnegative")
-        if self.truth_kind not in (TRUTH_GAUSSIAN, TRUTH_VORTEX):
+        if self.truth_kind not in TRUTH_KINDS:
             raise ValueError(f"unknown truth kind {self.truth_kind!r}")
         if not self.kernel_candidates:
             raise ValueError("need at least one kernel candidate")
@@ -184,6 +189,8 @@ def observe(truth: RealField, m: int, noise_ratio: float, seed: int) -> Observat
     n = truth.grid.n
     if not (1 <= m <= n * n):
         raise ValueError(f"m must lie in [1, {n * n}]")
+    if not (math.isfinite(noise_ratio) and noise_ratio >= 0):
+        raise ValueError("noise_ratio must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     flat = rng.choice(n * n, size=m, replace=False)
     locations = np.stack([flat // n, flat % n], axis=1)
@@ -205,10 +212,15 @@ def resolve_candidate(
     return spec
 
 
-def _truth_for(config: TrialConfig, grid: GridSpec, seed: int) -> RealField:
-    if config.truth_kind == TRUTH_GAUSSIAN:
-        return generate_cht_truth(config.alpha_true, grid, seed)
-    return generate_vortex_truth(config.vortex_params, grid, seed)
+def generate_truth(
+    kind: str, alpha_true: float, grid: GridSpec, seed: int, vortex: VortexParams = VortexParams()
+) -> RealField:
+    """Unit-variance truth of ``kind``: a power-law sample or a vortex field."""
+    if kind == TRUTH_GAUSSIAN:
+        return generate_cht_truth(alpha_true, grid, seed)
+    if kind == TRUTH_VORTEX:
+        return generate_vortex_truth(vortex, grid, seed)
+    raise ValueError(f"unknown truth kind {kind!r}")
 
 
 def run_trial(config: TrialConfig) -> TrialResult:
@@ -220,7 +232,10 @@ def run_trial(config: TrialConfig) -> TrialResult:
     baseline candidate.
     """
     grid = GridSpec(config.grid_n)
-    truth = _truth_for(config, grid, derive_seed(config.master_seed, 0))
+    truth = generate_truth(
+        config.truth_kind, config.alpha_true, grid, derive_seed(config.master_seed, 0),
+        config.vortex_params,
+    )
     obs = observe(truth, config.m, config.noise_ratio, derive_seed(config.master_seed, 1))
     truth_std = float(np.std(truth.values))
 
@@ -300,15 +315,7 @@ def sweep_alpha(
     points = []
     for alpha in alphas:
         candidates = (KernelSpec.cht(float(alpha)),) + tuple(baseline)
-        configs = [
-            replace(
-                base,
-                kernel_candidates=candidates,
-                master_seed=derive_seed(base.master_seed, t),
-            )
-            for t in range(trials)
-        ]
-        results = _map_ordered(run_trial, configs, jobs)
+        results = run_comparison(replace(base, kernel_candidates=candidates), trials, jobs)
         points.append(aggregate_point(float(alpha), results))
     return SweepResult(axis=AXIS_ALPHA, points=tuple(points))
 

@@ -6,7 +6,8 @@ circular convolution of the weighted observation deltas with the kernel
 table (one ``rfft2``/``irfft2`` pair) and the variance field is a sum of m
 squared such convolutions; no ``m x n^2`` cross-covariance is formed.
 A fitted posterior holds only the ``m x m`` Gram factor and the weights;
-fields are computed when first read.
+fields are computed when first read.  An empty observation set takes the
+same path: its 0 x 0 factor leaves the prior.
 
 Integral quantities use the normalized torus measure (weight 1/n^2 per grid
 point), so traces and norms are grid means rather than physical integrals.
@@ -150,10 +151,6 @@ def fit_posterior(kernel: KernelTable, obs: ObservationSet) -> Posterior:
     Eager cost is one m x m factorization and solve, O(m^3) time and O(m^2)
     memory; nothing of grid size is built until a field is read.
     """
-    if obs.m == 0:
-        return Posterior(
-            kernel=kernel, obs=obs, chol=np.zeros((0, 0)), alpha_weights=np.zeros(0), jitter=0.0
-        )
     chol, jitter = _factorized_gram(kernel, obs)
     weights = cho_solve((chol, True), obs.values)
     return Posterior(kernel=kernel, obs=obs, chol=chol, alpha_weights=weights, jitter=jitter)
@@ -161,8 +158,6 @@ def fit_posterior(kernel: KernelTable, obs: ObservationSet) -> Posterior:
 
 def log_marginal_likelihood(kernel: KernelTable, obs: ObservationSet) -> float:
     """Gaussian evidence of the observations under the prior plus noise."""
-    if obs.m == 0:
-        return 0.0
     chol, _ = _factorized_gram(kernel, obs)
     weights = cho_solve((chol, True), obs.values)
     return float(
@@ -195,16 +190,21 @@ def select_hyperparameter(
     return best_spec
 
 
+def normal_quantile(level: float) -> float:
+    """Half-width in standard deviations of the central normal interval at ``level``."""
+    if not (0.0 < level < 1.0):
+        raise ValueError("level must lie strictly between 0 and 1")
+    return float(_std_normal.ppf(0.5 + 0.5 * level))
+
+
 def credible_interval(
     post: Posterior, location: tuple[int, int], level: float
 ) -> tuple[float, float]:
     """Central posterior interval for the field value at a grid point."""
-    if not (0.0 < level < 1.0):
-        raise ValueError("level must lie strictly between 0 and 1")
+    z = normal_quantile(level)
     a, b = int(location[0]), int(location[1])
     mean = float(post.mean_field.values[a, b])
     var = float(post.variance_at([(a, b)])[0])
-    z = float(_std_normal.ppf(0.5 + 0.5 * level))
     halfwidth = z * np.sqrt(var)
     return mean - halfwidth, mean + halfwidth
 
@@ -225,8 +225,6 @@ def energy_variance(post: Posterior) -> float:
     grid = post.kernel.grid
     dens = spectral_density(post.kernel.spec, grid).grid_values
     prior_term = float(np.sum(dens**2))
-    if post.obs.m == 0:
-        return 0.25 * prior_term
     t2 = _power_table(grid, dens, 2)
     t3 = _power_table(grid, dens, 3)
     locs = post.obs.locations
@@ -277,10 +275,9 @@ def greedy_sensor_placement(
     m = obs.m
     # rows of L^-1 K(X, candidates): one per observation, then one per pick
     half = np.empty((m + count, len(cands)))
-    if m:
-        chol, _ = _factorized_gram(kernel, obs)
-        cross = _offset_gather(kernel.values, obs.locations, cands)
-        half[:m] = solve_triangular(chol, cross, lower=True)
+    chol, _ = _factorized_gram(kernel, obs)
+    cross = _offset_gather(kernel.values, obs.locations, cands)
+    half[:m] = solve_triangular(chol, cross, lower=True)
     variances = sigma2 - np.einsum("ij,ij->j", half[:m], half[:m])
 
     selected: list[tuple[int, int]] = []

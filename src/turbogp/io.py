@@ -1,14 +1,15 @@
 """Deterministic output files: binary field dumps, CSV tables, run manifests.
 
 Field dumps are a JSON header next to a raw little-endian float64 payload
-(row-major; spectral payloads interleave real and imaginary parts).  CSV
-floats are written with 17 significant digits so values round-trip exactly.
+(row-major; spectral payloads interleave real and imaginary parts).  The
+reader rejects a malformed header and a non-finite payload with
+``ValueError``.  CSV floats are written with 17 significant digits so values
+round-trip exactly.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -71,6 +72,8 @@ def read_field_dump(json_path: Union[str, Path]) -> Union[RealField, SpectralFie
         raise ValueError(f"{json_path}: unknown field kind {kind!r}")
     grid = GridSpec(n)
     raw = np.frombuffer(json_path.with_suffix(".bin").read_bytes(), dtype="<f8")
+    if not np.all(np.isfinite(raw)):
+        raise ValueError(f"{json_path}: field payload holds non-finite values")
     if kind == "real":
         if raw.size != n * n:
             raise ValueError("field payload size does not match header")
@@ -98,11 +101,3 @@ def write_manifest(
     }
     path = Path(outdir) / "manifest.json"
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-
-
-class Stopwatch:
-    def __init__(self) -> None:
-        self.start = time.perf_counter()
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.start

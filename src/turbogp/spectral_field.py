@@ -237,12 +237,6 @@ def biot_savart(vorticity: SpectralField) -> tuple[RealField, RealField]:
     return to_physical(u1), to_physical(u2)
 
 
-def spectral_divergence(u1: SpectralField, u2: SpectralField) -> np.ndarray:
-    """Per-mode divergence i n . u_hat (returned without the i factor)."""
-    fx, fy = u1.grid.frequency_grids()
-    return fx * u1.coeffs + fy * u2.coeffs
-
-
 def curl(u1: RealField, u2: RealField) -> RealField:
     """Discrete curl d(u2)/dx1 - d(u1)/dx2 evaluated spectrally."""
     if u1.grid != u2.grid:

@@ -67,6 +67,15 @@ class TestFieldDump:
         with pytest.raises(ValueError):
             read_field_dump(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, bad):
+        values = np.zeros((16, 16))
+        values[3, 5] = bad
+        path = tmp_path / "f.json"
+        write_field_dump(path, RealField(GridSpec(16), values))
+        with pytest.raises(ValueError, match="non-finite"):
+            read_field_dump(path)
+
     def test_payload_is_little_endian_float64(self, tmp_path):
         grid = GridSpec(16)
         field = RealField(grid, np.arange(256, dtype=float).reshape(16, 16))
@@ -261,6 +270,63 @@ class TestReconstructCommand:
                        "--m", "200", "--noise", "0", "--alpha", "1.5",
                        "--out", str(tmp_path / "rec")) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_non_finite_dump_creates_nothing(self, tmp_path):
+        values = np.zeros((16, 16))
+        values[0, 0] = np.nan
+        write_field_dump(tmp_path / "nan.json", RealField(GridSpec(16), values))
+        out = tmp_path / "rec"
+        assert run_cli("reconstruct", "--field", str(tmp_path / "nan.json"),
+                       "--m", "10", "--out", str(out)) == 2
+        assert not out.exists()
+
+    def test_negative_noise_ratio_creates_nothing(self, tmp_path, capsys):
+        # used to exit 0: noiseless values conditioned on noise variance (0.1 rms)^2
+        out = tmp_path / "rec"
+        assert run_cli("reconstruct", "--n", "16", "--m", "10", "--noise", "-0.1",
+                       "--out", str(out)) == 2
+        assert "noise_ratio" in capsys.readouterr().err
+        assert not out.exists()
+
+
+#: Float parameters of every command, with small sizes so a run that is
+#: wrongly accepted stays cheap.
+_FLOAT_CASES = [
+    ("sample", "alpha", ("--n", "16")),
+    ("validate-spectrum", "alphas", ("--n", "16", "--seeds", "1")),
+    ("compare", "alpha", ("--n", "16", "--m", "10", "--trials", "1", "--jobs", "1")),
+    ("compare", "alpha_true", ("--n", "16", "--m", "10", "--trials", "1", "--jobs", "1")),
+    ("compare", "noise", ("--n", "16", "--m", "10", "--trials", "1", "--jobs", "1")),
+    ("sweep-alpha", "alphas", ("--n", "16", "--m", "10", "--trials", "1", "--jobs", "1")),
+    ("sweep-density", "alpha", ("--n", "16", "--m", "10", "--trials", "1", "--jobs", "1")),
+    ("place-sensors", "alpha", ("--n", "16", "--count", "1")),
+    ("reconstruct", "alpha", ("--n", "16", "--m", "10")),
+    ("reconstruct", "length_scale", ("--n", "16", "--m", "10", "--kernel", "rbf")),
+    ("reconstruct", "nu", ("--n", "16", "--m", "10", "--kernel", "matern")),
+]
+
+
+class TestNonFiniteFloats:
+    # "sample --alpha inf" used to exit 0 and write "alpha": Infinity, which is
+    # not JSON, into field.json and manifest.json
+    @pytest.mark.parametrize("command,name,small", _FLOAT_CASES)
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_flag_rejected(self, tmp_path, command, name, small, bad):
+        value = f"1,{bad}" if name == "alphas" else bad
+        out = tmp_path / "out"
+        assert exit_code(command, *small, "--" + name.replace("_", "-"), value,
+                         "--out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,name,small", _FLOAT_CASES)
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_config_value_rejected(self, tmp_path, command, name, small, bad):
+        # json writes these as Infinity and NaN, which json reads back
+        value = [1.0, bad] if name == "alphas" else bad
+        out = tmp_path / "out"
+        config = write_config(tmp_path, {name: value})
+        assert run_cli(command, *small, "--config", config, "--out", str(out)) == 2
+        assert not out.exists()
 
 
 class TestConfigAndEnvironment:

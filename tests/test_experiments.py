@@ -20,8 +20,10 @@ from turbogp import (
 )
 from turbogp.experiments import (
     RBF_LENGTH_SCALES,
+    TRUTH_GAUSSIAN,
     TRUTH_VORTEX,
     derive_seed,
+    generate_truth,
     vortex_superposition,
 )
 
@@ -122,6 +124,25 @@ class TestObserve:
             observe(truth, 0, 0.1, 1)
         with pytest.raises(ValueError):
             observe(truth, 64 * 64 + 1, 0.1, 1)
+
+    @pytest.mark.parametrize("ratio", [-0.1, float("nan"), float("inf")])
+    def test_bad_noise_ratio_rejected(self, grid64, ratio):
+        # a negative ratio used to draw noiseless values but record (0.1 rms)^2
+        with pytest.raises(ValueError, match="noise_ratio"):
+            observe(generate_cht_truth(1.5, grid64, 1), 10, ratio, 4)
+
+
+class TestGenerateTruth:
+    def test_dispatches_on_kind(self, grid64):
+        assert np.array_equal(generate_truth(TRUTH_GAUSSIAN, 1.5, grid64, 7).values,
+                              generate_cht_truth(1.5, grid64, 7).values)
+        vortex = VortexParams(vortex_count=3)
+        assert np.array_equal(generate_truth(TRUTH_VORTEX, 1.5, grid64, 7, vortex).values,
+                              generate_vortex_truth(vortex, grid64, 7).values)
+
+    def test_unknown_kind_rejected(self, grid64):
+        with pytest.raises(ValueError, match="truth kind"):
+            generate_truth("gaussian_cht", 1.5, grid64, 7)
 
 
 class TestRunTrial:

@@ -20,6 +20,7 @@ from turbogp import (
     fit_posterior,
     greedy_sensor_placement,
     log_marginal_likelihood,
+    normal_quantile,
     select_hyperparameter,
     spectral_density,
 )
@@ -197,6 +198,10 @@ class TestLazyPosterior:
 
 
 class TestLogMarginalLikelihood:
+    def test_empty_set_has_zero_evidence(self, cht_table16):
+        obs = ObservationSet(np.zeros((0, 2), dtype=int), np.zeros(0), 0.01)
+        assert log_marginal_likelihood(cht_table16, obs) == 0.0
+
     def test_single_zero_observation_closed_form(self, cht_table16):
         obs = ObservationSet(np.array([[2, 2]]), np.array([0.0]), 0.04)
         lml = log_marginal_likelihood(cht_table16, obs)
@@ -271,6 +276,13 @@ class TestSelectHyperparameter:
 
 
 class TestCredibleInterval:
+    def test_normal_quantile(self):
+        assert normal_quantile(0.95) == pytest.approx(1.959963984540054, rel=1e-15)
+        assert normal_quantile(0.9544997361036416) == pytest.approx(2.0, rel=1e-12)
+        for level in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError):
+                normal_quantile(level)
+
     def test_level_validation(self, cht_table16):
         post = fit_posterior(cht_table16, _random_obs(cht_table16.grid, 3, seed=2))
         with pytest.raises(ValueError):

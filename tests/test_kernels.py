@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from turbogp import (
     GridSpec,
@@ -208,6 +210,26 @@ class TestGramMatrix:
             locs = np.stack([flat // 64, flat % 64], axis=1)
             g = gram_matrix(table, locs)
             assert np.linalg.eigvalsh(g).min() >= -1e-8 * spec.variance
+
+    @given(
+        spec=st.one_of(
+            st.builds(KernelSpec.cht, st.floats(0.25, 3.0), st.floats(0.1, 10.0)),
+            st.builds(KernelSpec.rbf, st.floats(0.05, 2.0), st.floats(0.1, 10.0)),
+            st.builds(KernelSpec.matern, st.floats(0.5, 3.0), st.floats(0.05, 2.0),
+                      st.floats(0.1, 10.0)),
+        ),
+        n=st.sampled_from([8, 16, 32]),
+        m=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gram_exactly_symmetric_and_psd(self, spec, n, m, seed):
+        # on-grid sets, coincident points allowed; the table is even, so the
+        # transposed entry reads the same table value
+        table = build_kernel_table(spec, GridSpec(n))
+        locs = np.random.default_rng(seed).integers(0, n, size=(m, 2))
+        g = gram_matrix(table, locs)
+        assert np.array_equal(g, g.T)
+        assert np.linalg.eigvalsh(g).min() >= -1e-12 * m * spec.variance
 
 
 class TestVelocitySpectralCovariance:
