@@ -234,12 +234,13 @@ def cmd_sample(params: dict) -> None:
 def cmd_validate_spectrum(params: dict) -> None:
     for alpha in params["alphas"]:
         _check_alpha_gamma(alpha, 1.0)
-    outdir = _ensure_outdir(params["out"])
-
+    # spectral_validation checks the fit range before it samples, and --out is
+    # created only after it returns
     results = spectral_validation(
         params["alphas"], GridSpec(params["n"]), params["seeds"],
         master_seed=params["seed"], k_min=params["k_min"], k_max=params["k_max"],
     )
+    outdir = _ensure_outdir(params["out"])
     write_csv(
         outdir / "exponents.csv",
         ["alpha", "estimator", "exponent", "stderr", "k_min", "k_max", "r_squared"],
@@ -317,9 +318,9 @@ def cmd_compare(params: dict) -> None:
 def cmd_sweep_alpha(params: dict) -> None:
     for alpha in params["alphas"]:
         _check_alpha_gamma(alpha, params["gamma"])
+    base = _trial_config(params, params["alpha_true"], params["m"])
     outdir = _ensure_outdir(params["out"])
 
-    base = _trial_config(params, params["alpha_true"], params["m"])
     sweep = sweep_alpha(base, params["alphas"], params["trials"], jobs=params["jobs"])
     _write_sweep(outdir / "alpha.csv", "alpha", sweep.points)
     best = max(sweep.points, key=lambda p: p.mean_improvement)
@@ -333,6 +334,9 @@ def cmd_sweep_alpha(params: dict) -> None:
 def cmd_sweep_density(params: dict) -> None:
     alpha = params["alpha_true"] if params["alpha"] is None else params["alpha"]
     _check_alpha_gamma(alpha, params["gamma"])
+    # TrialConfig checks every count against the grid before --out exists
+    for m in params["m"]:
+        _trial_config(params, alpha, m)
     outdir = _ensure_outdir(params["out"])
 
     base = _trial_config(params, alpha, params["m"][0])

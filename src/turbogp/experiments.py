@@ -21,8 +21,8 @@ from .spectral_field import (
     GridSpec,
     PowerLawFit,
     RealField,
-    default_fit_range,
     fit_power_law,
+    fit_range,
     radial_spectrum_of_power,
     sample_gaussian_field,
     to_spectral,
@@ -87,8 +87,8 @@ class TrialConfig:
     vortex_params: VortexParams = field(default_factory=VortexParams)
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("need at least one observation")
+        if not (1 <= self.m <= self.grid_n**2):
+            raise ValueError(f"m must lie in [1, {self.grid_n**2}] on a {self.grid_n}^2 grid")
         if self.noise_ratio < 0:
             raise ValueError("noise_ratio must be nonnegative")
         if self.truth_kind not in TRUTH_KINDS:
@@ -203,12 +203,15 @@ def observe(truth: RealField, m: int, noise_ratio: float, seed: int) -> Observat
 
 
 def resolve_candidate(
-    spec: KernelSpec, obs: ObservationSet, grid: GridSpec
+    spec: KernelSpec, obs: ObservationSet, grid: GridSpec, pairs: np.ndarray | None = None
 ) -> KernelSpec:
-    """Fill in an unspecified baseline length scale by evidence maximization."""
+    """Fill in an unspecified baseline length scale by evidence maximization.
+
+    ``pairs`` is ``obs.pair_index(grid.n)`` when the caller has built it already.
+    """
     if spec.family != FAMILY_CHT and spec.length_scale is None:
         candidates = [replace(spec, length_scale=ell) for ell in RBF_LENGTH_SCALES]
-        return select_hyperparameter(candidates, obs, grid)
+        return select_hyperparameter(candidates, obs, grid, pairs)
     return spec
 
 
@@ -238,12 +241,15 @@ def run_trial(config: TrialConfig) -> TrialResult:
     )
     obs = observe(truth, config.m, config.noise_ratio, derive_seed(config.master_seed, 1))
     truth_std = float(np.std(truth.values))
+    # every Gram matrix of the trial, evidence scan and fits, gathers through
+    # one pair index, freed with the trial
+    pairs = obs.pair_index(grid.n)
 
     per_kernel: dict[str, KernelScore] = {}
     order: list[str] = []
     for spec in config.kernel_candidates:
-        resolved = resolve_candidate(spec, obs, grid)
-        post = fit_posterior(build_kernel_table(resolved, grid), obs)
+        resolved = resolve_candidate(spec, obs, grid, pairs)
+        post = fit_posterior(build_kernel_table(resolved, grid), obs, pairs)
         diff = post.mean_field.values - truth.values
         rmse = float(np.sqrt(np.mean(diff**2)))
         per_kernel[spec.tag] = KernelScore(
@@ -326,14 +332,16 @@ def sweep_density(
     """Reconstruction quality across observation counts, seeds independent per m."""
     if not m_values:
         raise ValueError("need at least one observation count")
-    points = []
-    for mi, m in enumerate(m_values):
-        configs = [
-            replace(base, m=int(m), master_seed=derive_seed(base.master_seed, mi, t))
-            for t in range(trials)
-        ]
-        results = _map_ordered(run_trial, configs, jobs)
-        points.append(aggregate_point(float(m), results))
+    # every count is checked, by TrialConfig, before any trial runs
+    configs = [
+        [replace(base, m=int(m), master_seed=derive_seed(base.master_seed, mi, t))
+         for t in range(trials)]
+        for mi, m in enumerate(m_values)
+    ]
+    points = [
+        aggregate_point(float(m), _map_ordered(run_trial, point_configs, jobs))
+        for m, point_configs in zip(m_values, configs)
+    ]
     return SweepResult(axis=AXIS_DENSITY, points=tuple(points))
 
 
@@ -350,9 +358,7 @@ def spectral_validation(
         raise ValueError("need at least one alpha")
     if seeds_per_alpha < 1:
         raise ValueError("seeds_per_alpha must be at least 1")
-    lo, hi = default_fit_range(grid.n)
-    k_lo = lo if k_min is None else int(k_min)
-    k_hi = hi if k_max is None else int(k_max)
+    k_lo, k_hi = fit_range(grid, k_min, k_max)
     out = []
     for ai, alpha in enumerate(alphas):
         density = spectral_density(KernelSpec.cht(float(alpha)), grid)

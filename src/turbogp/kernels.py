@@ -32,6 +32,10 @@ JITTER_MAX_FRACTION = 1e-6
 #: :func:`build_kernel_table`; an evidence-tuned comparison needs 11.
 KERNEL_TABLE_CACHE_SIZE = 16
 
+#: Distinct (spec, grid) densities kept per process by
+#: :func:`spectral_density`; a comparison reads one, its truth's, per trial.
+SPECTRAL_DENSITY_CACHE_SIZE = 8
+
 _GAMMA_LOW = 2.0 / 3.0
 _ADMISSIBILITY_EPS = 1e-12
 
@@ -147,7 +151,15 @@ def truncation_mask(grid: GridSpec) -> np.ndarray:
 
 
 def spectral_density(spec: KernelSpec, grid: GridSpec) -> SpectralDensity:
-    """Family density sampled on the grid lattice and normalized to variance."""
+    """Family density sampled on the grid lattice and normalized to variance.
+
+    Densities are read-only, so equal ``(spec, grid)`` pairs share one
+    density from a bounded per-process cache.
+    """
+    return _cached_spectral_density(spec, grid)
+
+
+def _normalized_density(spec: KernelSpec, grid: GridSpec) -> SpectralDensity:
     ksq = grid.ksq_grid()
     values = np.where(truncation_mask(grid), raw_density(spec, ksq), 0.0)
     total = float(values.sum())
@@ -157,6 +169,9 @@ def spectral_density(spec: KernelSpec, grid: GridSpec) -> SpectralDensity:
     return SpectralDensity(
         spec=spec, grid=grid, normalization_constant=norm, grid_values=values * norm
     )
+
+
+_cached_spectral_density = lru_cache(maxsize=SPECTRAL_DENSITY_CACHE_SIZE)(_normalized_density)
 
 
 @dataclass(frozen=True)
@@ -203,7 +218,8 @@ def build_kernel_table(spec: KernelSpec, grid: GridSpec) -> KernelTable:
 
 @lru_cache(maxsize=KERNEL_TABLE_CACHE_SIZE)
 def _cached_kernel_table(spec: KernelSpec, grid: GridSpec) -> KernelTable:
-    density = spectral_density(spec, grid)
+    # the table is kept; the density it came from is not read again
+    density = _normalized_density(spec, grid)
     field = to_physical(SpectralField(grid, density.grid_values.astype(np.complex128)))
     return KernelTable(grid=grid, values=_symmetrize_table(field.values), spec=spec)
 
@@ -229,15 +245,27 @@ def direct_kernel_sum(
     return float(spec.variance * np.sum(weights * np.cos(phases)) / np.sum(weights))
 
 
-def gram_matrix(table: KernelTable, locations, jitter: float = 0.0) -> np.ndarray:
-    """Kernel matrix between grid locations via periodic table lookups."""
+def gram_matrix(
+    table: KernelTable, locations, jitter: float = 0.0, pairs: np.ndarray | None = None
+) -> np.ndarray:
+    """Kernel matrix between grid locations via periodic table lookups.
+
+    The lookups go through a flat pair index that depends only on the
+    locations and the grid size.  A caller that gathers several tables on
+    one location set builds it once (``ObservationSet.pair_index``) and
+    passes it as ``pairs``; without it the index is built here.
+    """
     locs = np.asarray(locations, dtype=np.int64)
     if locs.ndim != 2 or locs.shape[1] != 2:
         raise ValueError("locations must be an (m, 2) array of grid indices")
     _check_on_grid(locs, table.grid.n, "locations")
     if jitter < 0:
         raise ValueError("jitter must be nonnegative")
-    g = _offset_gather(table.values, locs, locs)
+    if pairs is None:
+        pairs = _offset_index(locs, locs, table.grid.n)
+    elif pairs.shape != (len(locs), len(locs)):
+        raise ValueError("pairs must be the (m, m) pair index of the locations")
+    g = np.take(table.values, pairs)
     if jitter:
         g = g + jitter * np.eye(len(locs))
     return g
@@ -248,17 +276,22 @@ def _check_on_grid(points: np.ndarray, n: int, what: str) -> None:
         raise ValueError(f"{what} must be on-grid indices in [0, {n})")
 
 
-def _offset_gather(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``values`` at the periodic offset ``a_i - b_j`` for every row i of ``a``, column j of ``b``.
+def _offset_index(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Flat index into an ``n x n`` offset table of ``a_i - b_j`` for every row i of ``a``, column j of ``b``.
 
-    ``values`` is an ``n x n`` table over offsets; ``a`` and ``b`` are
-    ``(k, 2)`` integer grid indices.  Offsets wrap, so an off-grid index would
-    silently alias an on-grid one: the public entries reject them first.
+    ``a`` and ``b`` are ``(k, 2)`` integer grid indices.  Offsets wrap, so an
+    off-grid index would silently alias an on-grid one: the public entries
+    reject them first.
     """
-    n = values.shape[0]
-    da = (a[:, 0][:, None] - b[:, 0][None, :]) % n
-    db = (a[:, 1][:, None] - b[:, 1][None, :]) % n
-    return values[da, db]
+    index = (a[:, 0][:, None] - b[:, 0][None, :]) % n
+    index *= n
+    index += (a[:, 1][:, None] - b[:, 1][None, :]) % n
+    return index
+
+
+def _offset_gather(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``values`` at the periodic offset ``a_i - b_j``; see :func:`_offset_index`."""
+    return np.take(values, _offset_index(a, b, values.shape[0]))
 
 
 def robust_cholesky(matrix: np.ndarray, variance: float) -> tuple[np.ndarray, float]:

@@ -167,24 +167,34 @@ def sample_gaussian_field(
         raise ValueError("per-mode variance must be nonnegative")
     if s[0, 0] != 0.0:
         raise ValueError("zero mode must carry no variance")
-    n = grid.n
+    # the normal draws are freed before the transform runs
+    return to_physical(SpectralField(grid, _hermitian_draw(s, seed)))
+
+
+def _hermitian_draw(s: np.ndarray, seed: int) -> np.ndarray:
+    """Hermitian DFT coefficients with per-mode variances ``s``, drawn from ``seed``.
+
+    For even n the canonical half lattice is rows 1..h-1 and columns 1..h-1
+    of rows 0 and h (h = n/2), so slices address it and its conjugate
+    mirror (j1, j2) -> (-j1 % n, -j2 % n) without index arrays.
+    """
+    n = s.shape[0]
+    h = n // 2
     rng = np.random.default_rng(seed)
     re = rng.standard_normal((n, n))
     im = rng.standard_normal((n, n))
 
-    idx = np.arange(n)
-    j1, j2 = np.meshgrid(idx, idx, indexing="ij")
-    m1, m2 = (-j1) % n, (-j2) % n
-    self_conj = (j1 == m1) & (j2 == m2)
-    primary = (j1 < m1) | ((j1 == m1) & (j2 < m2))
-
-    coeffs = np.zeros((n, n), dtype=np.complex128)
-    half_std = np.sqrt(s / 2.0)
-    coeffs[primary] = (re[primary] + 1j * im[primary]) * half_std[primary]
-    coeffs[m1[primary], m2[primary]] = np.conj(coeffs[primary])
-    coeffs[self_conj] = re[self_conj] * np.sqrt(s[self_conj])
+    coeffs = np.empty((n, n), dtype=np.complex128)
+    # rows 0 and h are filled whole here; their mirrored and self-conjugate
+    # columns are overwritten below
+    coeffs[: h + 1] = (re[: h + 1] + 1j * im[: h + 1]) * np.sqrt(s[: h + 1] / 2.0)
+    coeffs[h + 1 :] = np.conj(coeffs[h - 1 : 0 : -1][:, mirror_indices(n)])
+    for row in (0, h):
+        coeffs[row, h + 1 :] = np.conj(coeffs[row, h - 1 : 0 : -1])
+        for col in (0, h):
+            coeffs[row, col] = re[row, col] * np.sqrt(s[row, col])
     coeffs[0, 0] = 0.0
-    return to_physical(SpectralField(grid, coeffs))
+    return coeffs
 
 
 def _round_mantissa(values: np.ndarray, keep_bits: int) -> np.ndarray:
@@ -325,18 +335,37 @@ def default_fit_range(n: int) -> tuple[int, int]:
     return k_min, k_max
 
 
-def fit_power_law(
-    spectrum: SpectrumEstimate, k_min: int, k_max: int, use_sum: bool
-) -> PowerLawFit:
-    """Ordinary least squares of log power on log shell index over [k_min, k_max]."""
+def _fit_shells(spectrum: SpectrumEstimate, k_min: int, k_max: int) -> np.ndarray:
+    """Mask of the populated shells in [k_min, k_max]; raises if a fit cannot use them."""
     if k_min < 2:
         raise ValueError("k_min must be at least 2")
     if k_max > spectrum.max_shell:
         raise ValueError(f"k_max {k_max} exceeds max shell {spectrum.max_shell}")
-    power = spectrum.shell_sum_power if use_sum else spectrum.shell_avg_power
     mask = (spectrum.k >= k_min) & (spectrum.k <= k_max) & (spectrum.mode_count > 0)
     if int(mask.sum()) < 4:
         raise ValueError("fit range must contain at least 4 populated shells")
+    return mask
+
+
+def fit_range(grid: GridSpec, k_min=None, k_max=None) -> tuple[int, int]:
+    """The shell range a power-law fit on ``grid`` uses, checked before any sampling.
+
+    ``None`` takes the bound from :func:`default_fit_range`.  Raises
+    ``ValueError`` when :func:`fit_power_law` would reject the range.
+    """
+    lo, hi = default_fit_range(grid.n)
+    k_lo = lo if k_min is None else int(k_min)
+    k_hi = hi if k_max is None else int(k_max)
+    _fit_shells(radial_spectrum_of_power(grid, np.zeros((grid.n, grid.n))), k_lo, k_hi)
+    return k_lo, k_hi
+
+
+def fit_power_law(
+    spectrum: SpectrumEstimate, k_min: int, k_max: int, use_sum: bool
+) -> PowerLawFit:
+    """Ordinary least squares of log power on log shell index over [k_min, k_max]."""
+    mask = _fit_shells(spectrum, k_min, k_max)
+    power = spectrum.shell_sum_power if use_sum else spectrum.shell_avg_power
     p = power[mask]
     if np.any(p <= 0):
         raise ValueError("zero power in a shell inside the fit range")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 from turbogp import GridSpec, KernelSpec, build_kernel_table
+from turbogp.spectral_field import SpectralField, to_physical
 
 # Shared CPUs stall at random, so per-example deadlines are off; derandomized
 # examples make every run test the same cases and need no example database.
@@ -87,3 +88,30 @@ def dense_greedy(table, obs_locations, noise_variance, candidates, count):
         chosen.append(point)
         available[pick] = False
     return picked
+
+
+def mask_sample_gaussian_field(density, grid, seed):
+    """Reference Gaussian field sampler built from full-lattice boolean masks.
+
+    Draws the same normals as ``sample_gaussian_field`` and fills the same
+    coefficients with the same arithmetic, so the two agree bit for bit.
+    """
+    s = np.asarray(density.grid_values, dtype=np.float64)
+    n = grid.n
+    rng = np.random.default_rng(seed)
+    re = rng.standard_normal((n, n))
+    im = rng.standard_normal((n, n))
+
+    idx = np.arange(n)
+    j1, j2 = np.meshgrid(idx, idx, indexing="ij")
+    m1, m2 = (-j1) % n, (-j2) % n
+    self_conj = (j1 == m1) & (j2 == m2)
+    primary = (j1 < m1) | ((j1 == m1) & (j2 < m2))
+
+    coeffs = np.zeros((n, n), dtype=np.complex128)
+    half_std = np.sqrt(s / 2.0)
+    coeffs[primary] = (re[primary] + 1j * im[primary]) * half_std[primary]
+    coeffs[m1[primary], m2[primary]] = np.conj(coeffs[primary])
+    coeffs[self_conj] = re[self_conj] * np.sqrt(s[self_conj])
+    coeffs[0, 0] = 0.0
+    return to_physical(SpectralField(grid, coeffs))

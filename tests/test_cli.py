@@ -142,6 +142,37 @@ class TestValidateSpectrumCommand:
         assert float(first[2]) == pytest.approx(-4.0, abs=0.6)
 
 
+class TestChecksBeforeOutput:
+    """Inputs a run would reject later are rejected before ``--out`` exists."""
+
+    @pytest.mark.parametrize("argv", [
+        ("compare", "--m", "300"),
+        ("sweep-density", "--m", "10,300"),
+        ("sweep-alpha", "--m", "300"),
+    ])
+    def test_observation_count_beyond_the_grid(self, tmp_path, capsys, argv):
+        # used to create --out, and sweep-density ran the m = 10 point, before
+        # the trial's observe rejected the count
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--n", "16", "--trials", "1", "--jobs", "1",
+                       "--out", str(out)) == 2
+        assert "m must lie in [1, 256]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--n", "8"),
+        ("--n", "32", "--k-min", "10", "--k-max", "3"),
+        ("--n", "32", "--k-min", "1"),
+        ("--n", "32", "--k-max", "16"),
+    ])
+    def test_validate_spectrum_fit_range(self, tmp_path, capsys, flags):
+        # used to leave an empty --out behind
+        out = tmp_path / "out"
+        assert run_cli("validate-spectrum", *flags, "--seeds", "1", "--out", str(out)) == 2
+        assert "turbogp: error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCompareCommand:
     def test_summary_fields_present(self, tmp_path):
         assert run_cli("compare", "--truth", "vortex", "--n", "32", "--m", "30",

@@ -1,5 +1,7 @@
 """Truth generators, observation model, trials, sweeps, and aggregation."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.stats import kurtosis
@@ -7,6 +9,7 @@ from scipy.stats import kurtosis
 from turbogp import (
     GridSpec,
     KernelSpec,
+    ObservationSet,
     TrialConfig,
     VortexParams,
     generate_cht_truth,
@@ -18,6 +21,7 @@ from turbogp import (
     sweep_alpha,
     sweep_density,
 )
+from turbogp import experiments, gp_inference, kernels
 from turbogp.experiments import (
     RBF_LENGTH_SCALES,
     TRUTH_GAUSSIAN,
@@ -258,6 +262,62 @@ class TestSweeps:
         results_serial = run_comparison(self._base(), 4, jobs=1)
         results_parallel = run_comparison(self._base(), 4, jobs=4)
         assert results_serial == results_parallel
+
+    def test_observation_count_beyond_the_grid_rejected(self):
+        self._base(grid_n=8, m=64)
+        with pytest.raises(ValueError, match=r"m must lie in \[1, 64\]"):
+            self._base(grid_n=8, m=65)
+        with pytest.raises(ValueError, match="m must lie"):
+            self._base(m=0)
+
+    def test_density_sweep_checks_every_count_before_running(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(experiments, "run_trial", ran.append)
+        with pytest.raises(ValueError, match="m must lie"):
+            sweep_density(self._base(grid_n=16), [10, 300], trials=2)
+        assert ran == []
+
+    def test_one_pair_index_per_trial(self, monkeypatch):
+        # the evidence scan and both fits gather through the index the trial built
+        built, passed = [], []
+        pair_index = ObservationSet.pair_index
+        gram = gp_inference.gram_matrix
+
+        def counting_pair_index(obs, n):
+            built.append(n)
+            return pair_index(obs, n)
+
+        def recording_gram(table, locations, jitter=0.0, pairs=None):
+            passed.append(pairs)
+            return gram(table, locations, jitter, pairs)
+
+        monkeypatch.setattr(ObservationSet, "pair_index", counting_pair_index)
+        monkeypatch.setattr(gp_inference, "gram_matrix", recording_gram)
+        run_trial(self._base(grid_n=16, m=12))
+        assert built == [16]
+        assert len(passed) == len(RBF_LENGTH_SCALES) + 2
+        assert passed[0] is not None and all(p is passed[0] for p in passed)
+
+    def test_threads_filling_shared_caches_agree_with_serial(self):
+        # more workers than cores race to fill the empty per-process caches
+        # under a short switch interval; a lost or mixed entry changes a trial
+        base = self._base(grid_n=16, m=12)
+        serial = run_comparison(base, 8, jobs=1)
+        caches = (
+            kernels._cached_spectral_density,
+            kernels._cached_kernel_table,
+        )
+        runs = []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for _ in range(3):
+                for cache in caches:
+                    cache.cache_clear()
+                runs.append(run_comparison(base, 8, jobs=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(parallel == serial for parallel in runs)
 
 
 class TestSpectralValidation:

@@ -182,6 +182,25 @@ class TestLazyPosterior:
             rolled = np.roll(getattr(post, name).values, shift, axis=(0, 1))
             assert np.max(np.abs(getattr(moved, name).values - rolled)) <= 1e-12
 
+    @given(
+        m=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.floats(1e-2, 1.0),
+    )
+    def test_permutation_invariance(self, m, seed, noise):
+        # the posterior depends on the observations as a set, not on their
+        # order; coincident points are allowed
+        table = build_kernel_table(KernelSpec.cht(1.5), GridSpec(16))
+        rng = np.random.default_rng(seed)
+        locs = rng.integers(0, 16, size=(m, 2))
+        values = rng.uniform(-3.0, 3.0, size=m)
+        order = rng.permutation(m)
+        post = fit_posterior(table, ObservationSet(locs, values, noise))
+        moved = fit_posterior(table, ObservationSet(locs[order], values[order], noise))
+        for name in ("mean_field", "variance_field"):
+            diff = getattr(moved, name).values - getattr(post, name).values
+            assert np.max(np.abs(diff)) <= 1e-12
+
     def test_fit_allocates_no_grid_sized_arrays(self):
         # the eager fit is O(m^2) memory; one dense m x n^2 cross-covariance
         # at this size would be 200 MiB

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from turbogp import (
     GridSpec,
     KernelSpec,
+    ObservationSet,
     PhysicsParams,
     build_kernel_table,
     check_admissible,
@@ -20,7 +21,7 @@ from turbogp import (
     spectral_density,
     velocity_spectral_covariance,
 )
-from turbogp.kernels import raw_density
+from turbogp.kernels import _offset_gather, raw_density
 
 
 class TestKernelSpec:
@@ -230,6 +231,67 @@ class TestGramMatrix:
         g = gram_matrix(table, locs)
         assert np.array_equal(g, g.T)
         assert np.linalg.eigvalsh(g).min() >= -1e-12 * m * spec.variance
+
+
+class TestSharedInvariants:
+    @given(
+        n=st.sampled_from([8, 16, 32]),
+        m=st.integers(0, 30),
+        coincident=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shared_pair_index_gram_equals_direct_gather(self, n, m, coincident, seed):
+        # one pair index serves every table gathered on a location set;
+        # coincident points, a permuted order and the same locations on a
+        # second grid size each have their own index
+        rng = np.random.default_rng(seed)
+        locs = rng.integers(0, n, size=(m, 2))
+        if m:
+            locs = np.concatenate([locs, locs[rng.integers(0, m, size=coincident)]])
+        permuted = locs[rng.permutation(len(locs))]
+        for grid_n in (n, 2 * n):
+            grid = GridSpec(grid_n)
+            tables = [build_kernel_table(spec, grid)
+                      for spec in (KernelSpec.cht(1.5), KernelSpec.rbf(0.3))]
+            for points in (locs, permuted):
+                pairs = ObservationSet(points, np.zeros(len(points)), 0.1).pair_index(grid_n)
+                da = (points[:, 0][:, None] - points[:, 0][None, :]) % grid_n
+                db = (points[:, 1][:, None] - points[:, 1][None, :]) % grid_n
+                for table in tables:
+                    direct = table.values[da, db]
+                    assert np.array_equal(gram_matrix(table, points, pairs=pairs), direct)
+                    assert np.array_equal(gram_matrix(table, points), direct)
+                    assert np.array_equal(_offset_gather(table.values, points, points), direct)
+
+    def test_pair_index_of_another_set_rejected(self, grid16):
+        table = build_kernel_table(KernelSpec.cht(1.5), grid16)
+        locs = np.array([[0, 0], [3, 5], [15, 2]])
+        pairs = ObservationSet(locs[:2], np.zeros(2), 0.1).pair_index(16)
+        with pytest.raises(ValueError, match="pair index"):
+            gram_matrix(table, locs, pairs=pairs)
+        with pytest.raises(ValueError, match="on-grid"):
+            ObservationSet(locs, np.zeros(3), 0.1).pair_index(8)
+
+    def test_gram_is_a_private_copy(self, grid16):
+        table = build_kernel_table(KernelSpec.cht(1.5), grid16)
+        locs = np.array([[0, 0], [3, 5], [3, 5], [15, 2]])
+        pairs = ObservationSet(locs, np.zeros(4), 0.1).pair_index(16)
+        first = gram_matrix(table, locs, pairs=pairs)
+        want = first.copy()
+        first += 1.0
+        assert np.array_equal(gram_matrix(table, locs, pairs=pairs), want)
+
+    def test_cached_density_is_shared_and_read_only(self, grid16):
+        spec = KernelSpec.cht(1.5)
+        density = spectral_density(spec, grid16)
+        assert spectral_density(spec, grid16) is density
+        assert spectral_density(KernelSpec.cht(1.5), GridSpec(16)) is density
+        assert not density.grid_values.flags.writeable
+        with pytest.raises(ValueError):
+            density.grid_values[1, 0] = 0.0
+        scaled = spectral_density(KernelSpec.cht(1.5, variance=2.0), grid16)
+        assert scaled is not density
+        assert scaled.grid_values.sum() == pytest.approx(2.0, rel=1e-12)
 
 
 class TestVelocitySpectralCovariance:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import mask_sample_gaussian_field
 from turbogp import (
     GridSpec,
     KernelSpec,
@@ -11,7 +12,9 @@ from turbogp import (
     biot_savart,
     biot_savart_spectral,
     curl,
+    default_fit_range,
     fit_power_law,
+    fit_range,
     radial_spectrum,
     radial_spectrum_of_power,
     sample_gaussian_field,
@@ -120,6 +123,24 @@ class TestSampling:
         coeffs = to_spectral(field).coeffs
         assert hermitian_defect(SpectralField(grid, coeffs)) <= 1e-12 * rms
         assert coeffs[0, 0] == pytest.approx(0.0, abs=1e-12 * rms)
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 128])
+    def test_bit_identical_to_mask_sampler(self, n):
+        from turbogp.kernels import SpectralDensity
+
+        grid = GridSpec(n)
+        # the family densities leave the Nyquist row and column empty; the
+        # last density puts variance on every mode but the zero mode
+        everywhere = np.random.default_rng(n).uniform(0.5, 1.5, size=(n, n))
+        everywhere[0, 0] = 0.0
+        densities = [spectral_density(spec, grid)
+                     for spec in (KernelSpec.cht(1.5), KernelSpec.rbf(0.3))]
+        densities.append(SpectralDensity(KernelSpec.cht(1.5), grid, 1.0, everywhere))
+        for density in densities:
+            for seed in (0, 1, 7, 2**40 + 3):
+                got = sample_gaussian_field(density, grid, seed).values
+                want = mask_sample_gaussian_field(density, grid, seed).values
+                assert got.tobytes() == want.tobytes()
 
     def test_per_mode_variance_matches_density(self, grid16, cht_spec):
         density = spectral_density(cht_spec, grid16)
@@ -277,6 +298,35 @@ class TestFitPowerLaw:
         est = radial_spectrum_of_power(grid64, np.zeros((64, 64)))
         with pytest.raises(ValueError):
             fit_power_law(est, 4, 16, use_sum=True)
+
+
+class TestFitRange:
+    def test_defaults(self):
+        for n in (16, 64, 128):
+            assert fit_range(GridSpec(n)) == default_fit_range(n)
+        assert fit_range(GridSpec(64), k_max=20) == (4, 20)
+
+    def test_agrees_with_fit_power_law(self, grid16):
+        # fit_range checks a range before sampling; it must reject exactly
+        # the ranges a fit on a populated spectrum rejects
+        est = radial_spectrum_of_power(grid16, np.ones((16, 16)))
+        for k_min in range(0, 10):
+            for k_max in range(0, 10):
+                try:
+                    fit_power_law(est, k_min, k_max, use_sum=True)
+                    fits = True
+                except ValueError:
+                    fits = False
+                try:
+                    fit_range(grid16, k_min, k_max)
+                    checked = True
+                except ValueError:
+                    checked = False
+                assert checked == fits, (k_min, k_max)
+
+    def test_default_range_of_a_tiny_grid_rejected(self):
+        with pytest.raises(ValueError, match="4 populated shells"):
+            fit_range(GridSpec(8))
 
 
 class TestSpectrumExponentDifference:
