@@ -12,6 +12,10 @@ are appended to every command.  Handlers take the resolved parameters and
 call the library for every computation; :func:`main` times the run, fills in
 the seed, writes the manifest and maps errors to exit codes.
 
+A failing command writes nothing.  ``--out`` is created with its first file,
+which is written after the computation, so an unwritable ``--out`` is
+reported (exit 2) once the result is ready.
+
 Exit codes: 0 on success, 2 on usage errors (bad flags or config values,
 invalid parameter ranges, unreadable inputs, unwritable output), 3 on
 numerical failure (Gram factorization).
@@ -36,7 +40,7 @@ from .experiments import (
     observe, resolve_candidate, run_comparison, spectral_validation, sweep_alpha, sweep_density,
 )
 from .gp_inference import ObservationSet, fit_posterior, greedy_sensor_placement, normal_quantile
-from .io import read_field_dump, write_csv, write_field_dump, write_manifest
+from .io import read_field_dump, write_csv, write_field_dump, write_json, write_manifest
 from .kernels import (
     FAMILIES, FAMILY_CHT, FAMILY_RBF, FactorizationError, KernelSpec, build_kernel_table,
     check_admissible, spectral_density,
@@ -188,22 +192,6 @@ def _check_alpha_gamma(alpha: float, gamma: float) -> None:
         )
 
 
-def _ensure_outdir(path_text: str) -> Path:
-    outdir = Path(path_text)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        probe = outdir / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
-    except OSError as exc:
-        raise UsageError(f"output directory {path_text!r} is not writable: {exc}") from exc
-    return outdir
-
-
-def _write_summary(path: Path, summary: dict) -> None:
-    path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-
-
 def _kernel_from_params(params: dict) -> KernelSpec:
     family = params["kernel"]
     if family == FAMILY_CHT:
@@ -217,13 +205,12 @@ def _kernel_from_params(params: dict) -> KernelSpec:
 
 def cmd_sample(params: dict) -> None:
     _check_alpha_gamma(params["alpha"], params["gamma"])
-    outdir = _ensure_outdir(params["out"])
-
     grid = GridSpec(params["n"])
     density = spectral_density(KernelSpec.cht(params["alpha"]), grid)
     field = sample_gaussian_field(density, grid, params["seed"])
-    write_field_dump(outdir / "field.json", field, seed=params["seed"], alpha=params["alpha"])
     spectrum = radial_spectrum(field)
+    outdir = Path(params["out"])
+    write_field_dump(outdir / "field.json", field, seed=params["seed"], alpha=params["alpha"])
     write_csv(
         outdir / "spectrum.csv",
         ["k", "shell_avg_power", "shell_sum_power", "mode_count"],
@@ -234,15 +221,12 @@ def cmd_sample(params: dict) -> None:
 def cmd_validate_spectrum(params: dict) -> None:
     for alpha in params["alphas"]:
         _check_alpha_gamma(alpha, 1.0)
-    # spectral_validation checks the fit range before it samples, and --out is
-    # created only after it returns
     results = spectral_validation(
         params["alphas"], GridSpec(params["n"]), params["seeds"],
         master_seed=params["seed"], k_min=params["k_min"], k_max=params["k_max"],
     )
-    outdir = _ensure_outdir(params["out"])
     write_csv(
-        outdir / "exponents.csv",
+        Path(params["out"]) / "exponents.csv",
         ["alpha", "estimator", "exponent", "stderr", "k_min", "k_max", "r_squared"],
         [
             (res.alpha, estimator, fit.exponent, fit.exponent_stderr,
@@ -290,9 +274,8 @@ def cmd_compare(params: dict) -> None:
         alpha = params["alpha_true"] if gaussian else VORTEX_RECONSTRUCTION_ALPHA
     _check_alpha_gamma(alpha, params["gamma"])
     base = _trial_config(params, alpha, params["m"], truth_kind=params["truth"])
-    outdir = _ensure_outdir(params["out"])
-
     results = run_comparison(base, params["trials"], jobs=params["jobs"])
+    outdir = Path(params["out"])
     write_csv(
         outdir / "trials.csv",
         ["seed", "kernel", "eps", "rmse", "improvement_pct", "winner"],
@@ -303,7 +286,7 @@ def cmd_compare(params: dict) -> None:
     eps_cht = np.array([r.per_kernel[cht_tag].eps for r in results])
     eps_rbf = np.array([r.per_kernel[rbf_tag].eps for r in results])
     point = aggregate_point(alpha, results)
-    _write_summary(outdir / "summary.json", {
+    write_json(outdir / "summary.json", {
         "trials": len(results),
         "mean_eps_cht": float(eps_cht.mean()),
         "mean_eps_rbf": float(eps_rbf.mean()),
@@ -319,12 +302,11 @@ def cmd_sweep_alpha(params: dict) -> None:
     for alpha in params["alphas"]:
         _check_alpha_gamma(alpha, params["gamma"])
     base = _trial_config(params, params["alpha_true"], params["m"])
-    outdir = _ensure_outdir(params["out"])
-
     sweep = sweep_alpha(base, params["alphas"], params["trials"], jobs=params["jobs"])
+    outdir = Path(params["out"])
     _write_sweep(outdir / "alpha.csv", "alpha", sweep.points)
     best = max(sweep.points, key=lambda p: p.mean_improvement)
-    _write_summary(outdir / "summary.json", {
+    write_json(outdir / "summary.json", {
         "best_alpha": best.axis_value,
         "best_mean_improvement": best.mean_improvement,
         "all_points_positive": bool(all(p.mean_improvement > 0 for p in sweep.points)),
@@ -334,15 +316,11 @@ def cmd_sweep_alpha(params: dict) -> None:
 def cmd_sweep_density(params: dict) -> None:
     alpha = params["alpha_true"] if params["alpha"] is None else params["alpha"]
     _check_alpha_gamma(alpha, params["gamma"])
-    # TrialConfig checks every count against the grid before --out exists
-    for m in params["m"]:
-        _trial_config(params, alpha, m)
-    outdir = _ensure_outdir(params["out"])
-
     base = _trial_config(params, alpha, params["m"][0])
     sweep = sweep_density(base, params["m"], params["trials"], jobs=params["jobs"])
+    outdir = Path(params["out"])
     _write_sweep(outdir / "density.csv", "m", sweep.points, axis=int)
-    _write_summary(outdir / "summary.json", {
+    write_json(outdir / "summary.json", {
         "improvement_increases_with_density": bool(
             sweep.points[-1].mean_improvement > sweep.points[0].mean_improvement
         ),
@@ -365,11 +343,9 @@ def cmd_place_sensors(params: dict) -> None:
     empty = ObservationSet(
         locations=np.zeros((0, 2), dtype=np.int64), values=np.zeros(0), noise_variance=noise_variance
     )
-    outdir = _ensure_outdir(params["out"])
-
     table = build_kernel_table(spec, grid)
     axis = np.arange(0, grid.n, stride)
-    candidates = [(int(a), int(b)) for a in axis for b in axis]
+    candidates = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     picks = greedy_sensor_placement(table, empty, candidates, params["count"])
 
     rows = []
@@ -381,7 +357,7 @@ def cmd_place_sensors(params: dict) -> None:
         )
         post = fit_posterior(table, pseudo)
         rows.append((order, point[0], point[1], float(post.variance_at([point])[0])))
-    write_csv(outdir / "sensors.csv", ["order", "ix", "iy", "variance"], rows)
+    write_csv(Path(params["out"]) / "sensors.csv", ["order", "ix", "iy", "variance"], rows)
 
 
 def _read_truth(path_text: str) -> RealField:
@@ -409,10 +385,9 @@ def cmd_reconstruct(params: dict) -> None:
             params["truth"], params["alpha_true"], grid, derive_seed(params["seed"], 0)
         )
     obs = observe(truth, params["m"], params["noise"], derive_seed(params["seed"], 1))
-    outdir = _ensure_outdir(params["out"])
-
     spec = resolve_candidate(spec, obs, grid)
     post = fit_posterior(build_kernel_table(spec, grid), obs)
+    outdir = Path(params["out"])
     write_field_dump(outdir / "mean.json", post.mean_field, seed=params["seed"])
     write_field_dump(outdir / "variance.json", post.variance_field, seed=params["seed"])
 
@@ -422,7 +397,7 @@ def cmd_reconstruct(params: dict) -> None:
     inside = np.abs(truth.values - post.mean_field.values) <= half
     diff = post.mean_field.values - truth.values
     rmse = float(np.sqrt(np.mean(diff**2)))
-    _write_summary(outdir / "credible_summary.json", {
+    write_json(outdir / "credible_summary.json", {
         "level": level,
         "z": z,
         "coverage": float(np.mean(inside)),
@@ -481,7 +456,7 @@ COMMANDS: dict[str, Command] = {
         Param("alpha", _finite, 1.5, help="power-law exponent"),
         _LENGTH_SCALE, _NU,
         Param("count", _count, 8, help="sensors to place"),
-        # a non-finite or negative value is rejected by ObservationSet, before --out
+        # a non-finite or negative value is rejected by ObservationSet
         Param("noise_variance", float, 0.01, help="sensor noise variance"),
         Param("candidate_stride", int, 1, help="candidate spacing, a divisor of n"),
         _GAMMA,
@@ -541,6 +516,9 @@ def main(argv=None) -> int:
         )
     except (UsageError, ValueError) as exc:
         print(f"turbogp: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"turbogp: error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FactorizationError as exc:
         print(f"turbogp: numerical failure: {exc}", file=sys.stderr)

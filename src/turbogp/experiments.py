@@ -89,8 +89,8 @@ class TrialConfig:
     def __post_init__(self) -> None:
         if not (1 <= self.m <= self.grid_n**2):
             raise ValueError(f"m must lie in [1, {self.grid_n**2}] on a {self.grid_n}^2 grid")
-        if self.noise_ratio < 0:
-            raise ValueError("noise_ratio must be nonnegative")
+        if not (math.isfinite(self.noise_ratio) and self.noise_ratio >= 0):
+            raise ValueError("noise_ratio must be finite and nonnegative")
         if self.truth_kind not in TRUTH_KINDS:
             raise ValueError(f"unknown truth kind {self.truth_kind!r}")
         if not self.kernel_candidates:

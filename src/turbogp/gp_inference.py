@@ -275,7 +275,7 @@ def _argmax_lowest_index(variances: np.ndarray, candidates: np.ndarray, n: int) 
 def greedy_sensor_placement(
     kernel: KernelTable,
     obs: ObservationSet,
-    candidates: Sequence[tuple[int, int]],
+    candidates: np.ndarray | Sequence[tuple[int, int]],
     count: int,
     method: str = "fast",
 ) -> list[tuple[int, int]]:

@@ -4,7 +4,8 @@ Field dumps are a JSON header next to a raw little-endian float64 payload
 (row-major; spectral payloads interleave real and imaginary parts).  The
 reader rejects a malformed header and a non-finite payload with
 ``ValueError``.  CSV floats are written with 17 significant digits so values
-round-trip exactly.
+round-trip exactly.  Every writer creates the directories above its file, so
+an output directory exists only once a file has been written into it.
 """
 
 from __future__ import annotations
@@ -31,11 +32,23 @@ def format_value(value) -> str:
     return str(value)
 
 
+def _new_file(path: Union[str, Path]) -> Path:
+    """``path`` as a :class:`Path`, with the directories above it created."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def write_csv(path: Union[str, Path], header: Sequence[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(format_value(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _new_file(path).write_text("\n".join(lines) + "\n")
+
+
+def write_json(path: Union[str, Path], obj) -> None:
+    """``obj`` as indented JSON with sorted keys."""
+    _new_file(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def write_field_dump(
@@ -44,7 +57,7 @@ def write_field_dump(
     seed: Optional[int] = None,
     alpha: Optional[float] = None,
 ) -> None:
-    json_path = Path(json_path)
+    json_path = _new_file(json_path)
     bin_path = json_path.with_suffix(".bin")
     if isinstance(field, RealField):
         kind = "real"
@@ -91,13 +104,11 @@ def write_manifest(
     master_seed: int,
     wall_time_s: float,
 ) -> None:
-    manifest = {
+    write_json(Path(outdir) / "manifest.json", {
         "command": command,
         "config_echo": config_echo,
         "master_seed": int(master_seed),
         "tool_version": __version__,
         "csv_schema_version": CSV_SCHEMA_VERSION,
         "wall_time_s": wall_time_s,
-    }
-    path = Path(outdir) / "manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    })

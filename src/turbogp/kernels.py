@@ -44,13 +44,17 @@ class FactorizationError(RuntimeError):
     """Raised when a Gram matrix cannot be factorized even with max jitter."""
 
 
+def _finite_positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A named spectral density family with its parameters.
 
-    Only the parameters of the named family are meaningful; the others are
-    ignored.  ``variance`` is the marginal (post-normalization) variance of
-    the induced kernel.
+    Only the parameters of the named family are meaningful and checked to be
+    finite and positive; the others are ignored.  ``variance`` is the
+    marginal (post-normalization) variance of the induced kernel.
     """
 
     family: str
@@ -62,19 +66,19 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.variance <= 0:
-            raise ValueError("variance must be positive")
+        if not _finite_positive(self.variance):
+            raise ValueError("variance must be finite and positive")
         if self.family == FAMILY_CHT:
-            if self.alpha is None or self.alpha <= 0:
-                raise ValueError("cht kernel requires alpha > 0")
+            if self.alpha is None or not _finite_positive(self.alpha):
+                raise ValueError("cht kernel requires a finite alpha > 0")
         if self.family == FAMILY_RBF:
-            if self.length_scale is not None and self.length_scale <= 0:
-                raise ValueError("rbf kernel requires length_scale > 0")
+            if self.length_scale is not None and not _finite_positive(self.length_scale):
+                raise ValueError("rbf kernel requires a finite length_scale > 0")
         if self.family == FAMILY_MATERN:
-            if self.nu is None or self.nu <= 0:
-                raise ValueError("matern kernel requires nu > 0")
-            if self.length_scale is not None and self.length_scale <= 0:
-                raise ValueError("matern kernel requires length_scale > 0")
+            if self.nu is None or not _finite_positive(self.nu):
+                raise ValueError("matern kernel requires a finite nu > 0")
+            if self.length_scale is not None and not _finite_positive(self.length_scale):
+                raise ValueError("matern kernel requires a finite length_scale > 0")
 
     @classmethod
     def cht(cls, alpha: float, variance: float = 1.0) -> "KernelSpec":
@@ -110,13 +114,12 @@ def raw_density(spec: KernelSpec, ksq) -> np.ndarray:
     nz = ksq > 0
     if spec.family == FAMILY_CHT:
         out[nz] = ksq[nz] ** (-(1.0 + spec.alpha))
+    elif spec.length_scale is None:
+        raise ValueError(f"{spec.family} density requires a concrete length_scale")
     elif spec.family == FAMILY_RBF:
-        if spec.length_scale is None:
-            raise ValueError("rbf density requires a concrete length_scale")
         out[nz] = np.exp(-0.5 * spec.length_scale**2 * ksq[nz])
     else:
-        ell = 1.0 if spec.length_scale is None else spec.length_scale
-        out[nz] = (1.0 + ell**2 * ksq[nz]) ** (-(spec.nu + 1.0))
+        out[nz] = (1.0 + spec.length_scale**2 * ksq[nz]) ** (-(spec.nu + 1.0))
     return out
 
 
@@ -253,18 +256,24 @@ def gram_matrix(
     The lookups go through a flat pair index that depends only on the
     locations and the grid size.  A caller that gathers several tables on
     one location set builds it once (``ObservationSet.pair_index``) and
-    passes it as ``pairs``; without it the index is built here.
+    passes it as ``pairs``; without it the index is built here.  An index of
+    other locations or of another grid size is rejected.
     """
+    n = table.grid.n
     locs = np.asarray(locations, dtype=np.int64)
     if locs.ndim != 2 or locs.shape[1] != 2:
         raise ValueError("locations must be an (m, 2) array of grid indices")
-    _check_on_grid(locs, table.grid.n, "locations")
+    _check_on_grid(locs, n, "locations")
     if jitter < 0:
         raise ValueError("jitter must be nonnegative")
     if pairs is None:
-        pairs = _offset_index(locs, locs, table.grid.n)
-    elif pairs.shape != (len(locs), len(locs)):
-        raise ValueError("pairs must be the (m, m) pair index of the locations")
+        pairs = _offset_index(locs, locs, n)
+    elif pairs.shape != (len(locs), len(locs)) or not np.array_equal(
+        pairs[:1], _offset_index(locs[:1], locs, n)
+    ):
+        # row 0 holds x_0 - x_j for every j and every other entry is the
+        # difference of two of those, so on one grid row 0 fixes the index
+        raise ValueError("pairs must be the (m, m) pair index of the locations on this grid")
     g = np.take(table.values, pairs)
     if jitter:
         g = g + jitter * np.eye(len(locs))

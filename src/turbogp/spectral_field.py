@@ -139,7 +139,12 @@ def to_physical(field: SpectralField) -> RealField:
     Raises if the coefficients are not Hermitian-symmetric enough for the
     result to be real (max imaginary part above ``REALITY_TOL`` x RMS).
     """
-    values = np.fft.ifft2(field.coeffs) * field.grid.synthesis_scale
+    return _real_field(np.fft.ifft2(field.coeffs), field.grid)
+
+
+def _real_field(values: np.ndarray, grid: GridSpec) -> RealField:
+    """``values``, an inverse DFT that is overwritten, as a checked real field."""
+    values *= grid.synthesis_scale
     rms = float(np.sqrt(np.mean(values.real**2)))
     max_imag = float(np.max(np.abs(values.imag)))
     if max_imag > REALITY_TOL * rms:
@@ -147,7 +152,7 @@ def to_physical(field: SpectralField) -> RealField:
             f"inverse transform is not real: max imag {max_imag:.3e} "
             f"exceeds {REALITY_TOL:g} x RMS ({rms:.3e})"
         )
-    return RealField(field.grid, values.real)
+    return RealField(grid, values.real)
 
 
 def sample_gaussian_field(
@@ -167,8 +172,9 @@ def sample_gaussian_field(
         raise ValueError("per-mode variance must be nonnegative")
     if s[0, 0] != 0.0:
         raise ValueError("zero mode must carry no variance")
-    # the normal draws are freed before the transform runs
-    return to_physical(SpectralField(grid, _hermitian_draw(s, seed)))
+    # ifft2 one axis at a time, so the coefficients are freed halfway
+    values = np.fft.ifft(_hermitian_draw(s, seed), axis=-1)
+    return _real_field(np.fft.ifft(values, axis=-2), grid)
 
 
 def _hermitian_draw(s: np.ndarray, seed: int) -> np.ndarray:
@@ -185,14 +191,21 @@ def _hermitian_draw(s: np.ndarray, seed: int) -> np.ndarray:
     im = rng.standard_normal((n, n))
 
     coeffs = np.empty((n, n), dtype=np.complex128)
-    # rows 0 and h are filled whole here; their mirrored and self-conjugate
-    # columns are overwritten below
-    coeffs[: h + 1] = (re[: h + 1] + 1j * im[: h + 1]) * np.sqrt(s[: h + 1] / 2.0)
-    coeffs[h + 1 :] = np.conj(coeffs[h - 1 : 0 : -1][:, mirror_indices(n)])
+    # rows 0 and h are filled whole here, (re + 1j im) sqrt(s / 2) computed in
+    # place and each draw freed once folded in, so few n x n arrays are alive
+    # at once; their mirrored and self-conjugate columns are overwritten below
+    half = coeffs[: h + 1]
+    np.multiply(im[: h + 1], 1j, out=half)
+    del im
+    half += re[: h + 1]
+    half *= np.sqrt(s[: h + 1] / 2.0)
     for row in (0, h):
-        coeffs[row, h + 1 :] = np.conj(coeffs[row, h - 1 : 0 : -1])
         for col in (0, h):
             coeffs[row, col] = re[row, col] * np.sqrt(s[row, col])
+    del re
+    np.conj(coeffs[h - 1 : 0 : -1][:, mirror_indices(n)], out=coeffs[h + 1 :])
+    for row in (0, h):
+        coeffs[row, h + 1 :] = np.conj(coeffs[row, h - 1 : 0 : -1])
     coeffs[0, 0] = 0.0
     return coeffs
 

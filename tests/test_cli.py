@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from turbogp.cli import COMMANDS, main
-from turbogp.io import read_field_dump, write_field_dump
+from turbogp.io import read_field_dump, write_csv, write_field_dump, write_json
 from turbogp import GridSpec, RealField, SpectralField
 
 
@@ -75,6 +75,16 @@ class TestFieldDump:
         write_field_dump(path, RealField(GridSpec(16), values))
         with pytest.raises(ValueError, match="non-finite"):
             read_field_dump(path)
+
+    @pytest.mark.parametrize("write", [
+        lambda path: write_csv(path, ["x"], [(1,)]),
+        lambda path: write_json(path, {"x": 1}),
+        lambda path: write_field_dump(path, RealField(GridSpec(16), np.zeros((16, 16)))),
+    ], ids=["csv", "json", "field_dump"])
+    def test_writers_create_missing_directories(self, tmp_path, write):
+        path = tmp_path / "a" / "b" / "f.json"
+        write(path)
+        assert path.is_file()
 
     def test_payload_is_little_endian_float64(self, tmp_path):
         grid = GridSpec(16)
@@ -171,6 +181,46 @@ class TestChecksBeforeOutput:
         assert run_cli("validate-spectrum", *flags, "--seeds", "1", "--out", str(out)) == 2
         assert "turbogp: error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOutputDirectory:
+    """``--out`` is created with the first file a command writes."""
+
+    def test_numerical_failure_leaves_no_out(self, tmp_path, monkeypatch, capsys):
+        # used to leave an empty --out behind
+        import turbogp.cli as cli_module
+        from turbogp.kernels import FactorizationError
+
+        def boom(*args, **kwargs):
+            raise FactorizationError("synthetic failure")
+
+        monkeypatch.setattr(cli_module, "fit_posterior", boom)
+        out = tmp_path / "out"
+        assert run_cli("reconstruct", "--n", "16", "--m", "10", "--out", str(out)) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("place-sensors", "--n", "16", "--count", "300"),
+        ("sample", "--n", "6"),
+        ("compare", "--n", "4", "--m", "16", "--trials", "1", "--jobs", "1"),
+    ])
+    def test_late_rejection_leaves_no_out(self, tmp_path, argv):
+        # each is rejected by the library during the run, and used to leave
+        # an empty --out behind
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_blocked_by_a_regular_file(self, tmp_path, capsys, below):
+        afile = tmp_path / "afile"
+        afile.write_text("keep")
+        out = afile / "sub" if below else afile
+        assert run_cli("sample", "--n", "16", "--out", str(out)) == 2
+        assert str(out) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [afile]
+        assert afile.read_text() == "keep"
 
 
 class TestCompareCommand:
@@ -292,6 +342,12 @@ class TestReconstructCommand:
         path.write_text(json.dumps({"n": 16}))
         assert run_cli("reconstruct", "--field", str(path), "--m", "10",
                        "--out", str(tmp_path / "rec")) == 2
+
+    def test_matern_without_length_scale_is_tuned(self, tmp_path):
+        assert run_cli("reconstruct", "--kernel", "matern", "--nu", "1.5", "--n", "16",
+                       "--m", "20", "--out", str(tmp_path)) == 0
+        kernel = json.loads((tmp_path / "credible_summary.json").read_text())["kernel"]
+        assert kernel.startswith("matern_nu1.5_l") and not kernel.endswith("tuned")
 
     def test_non_finite_truth_is_a_usage_error(self, tmp_path, capsys):
         values = np.zeros((16, 16))

@@ -270,6 +270,12 @@ class TestSweeps:
         with pytest.raises(ValueError, match="m must lie"):
             self._base(m=0)
 
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf")])
+    def test_non_finite_noise_ratio_rejected(self, ratio):
+        # used to be accepted, and every trial then failed in observe
+        with pytest.raises(ValueError, match="noise_ratio"):
+            self._base(noise_ratio=ratio)
+
     def test_density_sweep_checks_every_count_before_running(self, monkeypatch):
         ran = []
         monkeypatch.setattr(experiments, "run_trial", ran.append)

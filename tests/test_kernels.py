@@ -39,6 +39,20 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec(family="nope")
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("make", [
+        lambda bad: KernelSpec.cht(1.5, variance=bad),
+        lambda bad: KernelSpec.cht(bad),
+        lambda bad: KernelSpec.rbf(bad),
+        lambda bad: KernelSpec.matern(bad, 0.5),
+        lambda bad: KernelSpec.matern(1.5, bad),
+    ], ids=["variance", "cht_alpha", "rbf_length_scale", "matern_nu", "matern_length_scale"])
+    def test_non_finite_parameters_rejected(self, make, bad):
+        # an infinite variance used to fail only inside cho_solve, and
+        # cht(inf) used to build a table
+        with pytest.raises(ValueError, match="finite"):
+            make(bad)
+
     def test_irrelevant_fields_ignored(self):
         spec = KernelSpec(family="cht", alpha=1.5, length_scale=-3.0, nu=-1.0)
         assert spec.alpha == 1.5
@@ -58,6 +72,14 @@ class TestRawDensity:
         val = raw_density(KernelSpec.cht(1.5), np.array([4.0]))[0]
         assert val == pytest.approx(2.0**-5, rel=1e-15)
         assert val == pytest.approx(0.03125, rel=1e-15)
+
+    def test_tuned_baselines_have_no_density(self, grid16):
+        # a tuned Matern used to build a table at length scale 1, tagged "tuned"
+        for spec in (KernelSpec.rbf(None), KernelSpec.matern(1.5, None)):
+            with pytest.raises(ValueError, match="concrete length_scale"):
+                raw_density(spec, np.array([1.0]))
+            with pytest.raises(ValueError, match="concrete length_scale"):
+                build_kernel_table(spec, grid16)
 
     def test_zero_mode_always_zero(self):
         for spec in (KernelSpec.cht(1.0), KernelSpec.rbf(0.5), KernelSpec.matern(1.5, 1.0)):
@@ -271,6 +293,17 @@ class TestSharedInvariants:
             gram_matrix(table, locs, pairs=pairs)
         with pytest.raises(ValueError, match="on-grid"):
             ObservationSet(locs, np.zeros(3), 0.1).pair_index(8)
+
+    def test_pair_index_of_another_grid_or_same_size_set_rejected(self):
+        # either used to be gathered silently, wrong by up to about 1
+        table = build_kernel_table(KernelSpec.cht(1.5), GridSpec(32))
+        rng = np.random.default_rng(3)
+        locs = rng.integers(0, 16, size=(12, 2))
+        other = rng.integers(0, 16, size=(12, 2))
+        for pairs in (ObservationSet(locs, np.zeros(12), 0.1).pair_index(16),
+                      ObservationSet(other, np.zeros(12), 0.1).pair_index(32)):
+            with pytest.raises(ValueError, match="pair index"):
+                gram_matrix(table, locs, pairs=pairs)
 
     def test_gram_is_a_private_copy(self, grid16):
         table = build_kernel_table(KernelSpec.cht(1.5), grid16)

@@ -1,5 +1,7 @@
 """Grid geometry, transforms, sampling, velocity recovery, and spectra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,21 @@ class TestSampling:
                 got = sample_gaussian_field(density, grid, seed).values
                 want = mask_sample_gaussian_field(density, grid, seed).values
                 assert got.tobytes() == want.tobytes()
+
+    def test_sampling_keeps_at_most_five_fields_of_memory(self):
+        # the two normal draws and the complex coefficients (two fields' worth)
+        # set the floor; temporaries and copies of the coefficients add to it
+        n = 128
+        grid = GridSpec(n)
+        density = spectral_density(KernelSpec.cht(1.5), grid)
+        sample_gaussian_field(density, grid, 1)
+        tracemalloc.start()
+        try:
+            sample_gaussian_field(density, grid, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.25 * n * n * 8
 
     def test_per_mode_variance_matches_density(self, grid16, cht_spec):
         density = spectral_density(cht_spec, grid16)
