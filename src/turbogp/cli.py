@@ -36,8 +36,8 @@ import numpy as np
 
 from . import __version__
 from .experiments import (
-    TRUTH_GAUSSIAN, TRUTH_KINDS, TrialConfig, aggregate_point, derive_seed, generate_truth,
-    observe, resolve_candidate, run_comparison, spectral_validation, sweep_alpha, sweep_density,
+    TRUTH_GAUSSIAN, TRUTH_KINDS, Trial, TrialConfig, aggregate_point, run_comparison,
+    spectral_validation, sweep_alpha, sweep_density,
 )
 from .gp_inference import ObservationSet, fit_posterior, greedy_sensor_placement, normal_quantile
 from .io import read_field_dump, write_csv, write_field_dump, write_json, write_manifest
@@ -376,17 +376,18 @@ def cmd_reconstruct(params: dict) -> None:
             params["alpha"] = params["alpha_true"]
         _check_alpha_gamma(params["alpha"], params["gamma"])
     spec = _kernel_from_params(params)
-    if params["field"]:
-        truth = _read_truth(params["field"])
-        grid = truth.grid
-    else:
-        grid = GridSpec(params["n"])
-        truth = generate_truth(
-            params["truth"], params["alpha_true"], grid, derive_seed(params["seed"], 0)
-        )
-    obs = observe(truth, params["m"], params["noise"], derive_seed(params["seed"], 1))
-    spec = resolve_candidate(spec, obs, grid)
-    post = fit_posterior(build_kernel_table(spec, grid), obs)
+    truth = _read_truth(params["field"]) if params["field"] else None
+    config = TrialConfig(
+        grid_n=params["n"] if truth is None else truth.grid.n,
+        alpha_true=params["alpha_true"],
+        kernel_candidates=(spec,),
+        m=params["m"],
+        noise_ratio=params["noise"],
+        master_seed=params["seed"],
+        truth_kind=params["truth"],
+    )
+    trial = Trial.draw(config, truth)
+    score, post = trial.score(spec)
     outdir = Path(params["out"])
     write_field_dump(outdir / "mean.json", post.mean_field, seed=params["seed"])
     write_field_dump(outdir / "variance.json", post.variance_field, seed=params["seed"])
@@ -394,18 +395,16 @@ def cmd_reconstruct(params: dict) -> None:
     level = params["level"]
     z = normal_quantile(level)
     half = z * np.sqrt(post.variance_field.values)
-    inside = np.abs(truth.values - post.mean_field.values) <= half
-    diff = post.mean_field.values - truth.values
-    rmse = float(np.sqrt(np.mean(diff**2)))
+    inside = np.abs(trial.truth.values - post.mean_field.values) <= half
     write_json(outdir / "credible_summary.json", {
         "level": level,
         "z": z,
         "coverage": float(np.mean(inside)),
         "mean_interval_halfwidth": float(half.mean()),
         "clamped_points": post.clamp_count,
-        "rmse": rmse,
-        "eps": rmse / float(np.std(truth.values)),
-        "kernel": spec.tag,
+        "rmse": score.rmse,
+        "eps": score.eps,
+        "kernel": score.resolved_tag,
         "jitter": post.jitter,
     })
 

@@ -4,6 +4,9 @@ spectrum validation) with deterministic seed derivation.
 
 A truth is named by one of :data:`TRUTH_KINDS`, the same words as the CLI's
 ``--truth``, and :func:`generate_truth` is the one place that draws it.
+:class:`Trial` is the one place that defines a trial's seed paths (truth
+from path 0, observations from path 1 of its master seed) and its error
+metric eps; every comparison, sweep and ``reconstruct`` scores through it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gp_inference import ObservationSet, fit_posterior, select_hyperparameter
+from .gp_inference import ObservationSet, Posterior, fit_posterior, select_hyperparameter
 from .kernels import FAMILY_CHT, KernelSpec, build_kernel_table, spectral_density
 from .spectral_field import (
     GridSpec,
@@ -87,6 +90,7 @@ class TrialConfig:
     vortex_params: VortexParams = field(default_factory=VortexParams)
 
     def __post_init__(self) -> None:
+        GridSpec(self.grid_n)
         if not (1 <= self.m <= self.grid_n**2):
             raise ValueError(f"m must lie in [1, {self.grid_n**2}] on a {self.grid_n}^2 grid")
         if not (math.isfinite(self.noise_ratio) and self.noise_ratio >= 0):
@@ -202,19 +206,6 @@ def observe(truth: RealField, m: int, noise_ratio: float, seed: int) -> Observat
     )
 
 
-def resolve_candidate(
-    spec: KernelSpec, obs: ObservationSet, grid: GridSpec, pairs: np.ndarray | None = None
-) -> KernelSpec:
-    """Fill in an unspecified baseline length scale by evidence maximization.
-
-    ``pairs`` is ``obs.pair_index(grid.n)`` when the caller has built it already.
-    """
-    if spec.family != FAMILY_CHT and spec.length_scale is None:
-        candidates = [replace(spec, length_scale=ell) for ell in RBF_LENGTH_SCALES]
-        return select_hyperparameter(candidates, obs, grid, pairs)
-    return spec
-
-
 def generate_truth(
     kind: str, alpha_true: float, grid: GridSpec, seed: int, vortex: VortexParams = VortexParams()
 ) -> RealField:
@@ -226,54 +217,83 @@ def generate_truth(
     raise ValueError(f"unknown truth kind {kind!r}")
 
 
-def run_trial(config: TrialConfig) -> TrialResult:
-    """Generate truth, observe, reconstruct with every candidate, and score.
+@dataclass(frozen=True)
+class Trial:
+    """One truth and its noisy observations, on which candidate priors are scored.
 
-    The relative error eps is the RMSE over the grid divided by the truth's
-    grid standard deviation; the reported improvement is the percent
-    reduction of eps of the first power-law candidate relative to the first
-    baseline candidate.
+    :meth:`draw` takes the truth from seed path 0 and the observations from
+    seed path 1 of the config's master seed, so trials that share a master
+    seed share both, whatever priors they score.  :meth:`score` resolves a
+    candidate (an unset baseline length scale is tuned by evidence over
+    :data:`RBF_LENGTH_SCALES`), fits it, and reports eps: the RMSE of the
+    posterior mean over the grid divided by the truth's grid standard
+    deviation.  A trial holds no pair index: a caller scoring several
+    candidates builds ``trial.obs.pair_index(trial.truth.grid.n)`` and passes
+    it as ``pairs``, and it is freed with that caller.
     """
-    grid = GridSpec(config.grid_n)
-    truth = generate_truth(
-        config.truth_kind, config.alpha_true, grid, derive_seed(config.master_seed, 0),
-        config.vortex_params,
-    )
-    obs = observe(truth, config.m, config.noise_ratio, derive_seed(config.master_seed, 1))
-    truth_std = float(np.std(truth.values))
-    # every Gram matrix of the trial, evidence scan and fits, gathers through
-    # one pair index, freed with the trial
-    pairs = obs.pair_index(grid.n)
 
-    per_kernel: dict[str, KernelScore] = {}
-    order: list[str] = []
-    for spec in config.kernel_candidates:
-        resolved = resolve_candidate(spec, obs, grid, pairs)
-        post = fit_posterior(build_kernel_table(resolved, grid), obs, pairs)
-        diff = post.mean_field.values - truth.values
+    truth: RealField
+    obs: ObservationSet
+
+    @classmethod
+    def draw(cls, config: TrialConfig, truth: Optional[RealField] = None) -> Trial:
+        """The config's trial; ``truth``, if given, replaces the generated one."""
+        if truth is None:
+            truth = generate_truth(
+                config.truth_kind, config.alpha_true, GridSpec(config.grid_n),
+                derive_seed(config.master_seed, 0), config.vortex_params,
+            )
+        elif truth.grid.n != config.grid_n:
+            raise ValueError(f"truth grid {truth.grid.n} does not match grid_n {config.grid_n}")
+        obs = observe(truth, config.m, config.noise_ratio, derive_seed(config.master_seed, 1))
+        return cls(truth, obs)
+
+    def _tune(self, spec: KernelSpec, pairs: Optional[np.ndarray]) -> KernelSpec:
+        if spec.family != FAMILY_CHT and spec.length_scale is None:
+            candidates = [replace(spec, length_scale=ell) for ell in RBF_LENGTH_SCALES]
+            return select_hyperparameter(candidates, self.obs, self.truth.grid, pairs)
+        return spec
+
+    def score(
+        self, spec: KernelSpec, pairs: Optional[np.ndarray] = None
+    ) -> tuple[KernelScore, Posterior]:
+        """Resolve, fit and score ``spec``; returns its score and posterior."""
+        resolved = self._tune(spec, pairs)
+        post = fit_posterior(build_kernel_table(resolved, self.truth.grid), self.obs, pairs)
+        diff = post.mean_field.values - self.truth.values
         rmse = float(np.sqrt(np.mean(diff**2)))
-        per_kernel[spec.tag] = KernelScore(
-            eps=rmse / truth_std, rmse=rmse, resolved_tag=resolved.tag
-        )
-        order.append(spec.tag)
+        eps = rmse / float(np.std(self.truth.values))
+        return KernelScore(eps=eps, rmse=rmse, resolved_tag=resolved.tag), post
 
-    cht_tag = next(
-        (s.tag for s in config.kernel_candidates if s.family == FAMILY_CHT), None
-    )
-    base_tag = next(
-        (s.tag for s in config.kernel_candidates if s.family != FAMILY_CHT), None
-    )
+
+def _trial_result(
+    seed: int, candidates: Sequence[KernelSpec], per_kernel: dict[str, KernelScore]
+) -> TrialResult:
+    """The improvement of the first power-law candidate over the first baseline
+    (percent reduction of eps) and the winner, lowest eps then first listed."""
+    cht_tag = next((s.tag for s in candidates if s.family == FAMILY_CHT), None)
+    base_tag = next((s.tag for s in candidates if s.family != FAMILY_CHT), None)
     improvement = None
     if cht_tag is not None and base_tag is not None:
         eps_base = per_kernel[base_tag].eps
         improvement = 100.0 * (eps_base - per_kernel[cht_tag].eps) / eps_base
+    order = [s.tag for s in candidates]
     winner = min(order, key=lambda tag: (per_kernel[tag].eps, order.index(tag)))
     return TrialResult(
-        seed=config.master_seed,
-        per_kernel=per_kernel,
-        improvement_pct=improvement,
-        winner=winner,
+        seed=seed, per_kernel=per_kernel, improvement_pct=improvement, winner=winner
     )
+
+
+def run_trial(config: TrialConfig) -> TrialResult:
+    """Draw the config's :class:`Trial` and score every candidate on it."""
+    trial = Trial.draw(config)
+    # every Gram matrix of the trial, evidence scan and fits, gathers through
+    # one pair index, freed with the trial
+    pairs = trial.obs.pair_index(config.grid_n)
+    per_kernel = {
+        spec.tag: trial.score(spec, pairs)[0] for spec in config.kernel_candidates
+    }
+    return _trial_result(config.master_seed, config.kernel_candidates, per_kernel)
 
 
 def _map_ordered(fn: Callable, items: Sequence, jobs: int) -> list:
@@ -283,12 +303,13 @@ def _map_ordered(fn: Callable, items: Sequence, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _repetitions(base: TrialConfig, trials: int) -> list[TrialConfig]:
+    return [replace(base, master_seed=derive_seed(base.master_seed, t)) for t in range(trials)]
+
+
 def run_comparison(base: TrialConfig, trials: int, jobs: int = 1) -> list[TrialResult]:
     """Independent repetitions of a trial with derived per-trial seeds."""
-    configs = [
-        replace(base, master_seed=derive_seed(base.master_seed, t)) for t in range(trials)
-    ]
-    return _map_ordered(run_trial, configs, jobs)
+    return _map_ordered(run_trial, _repetitions(base, trials), jobs)
 
 
 def aggregate_point(axis_value: float, results: Sequence[TrialResult]) -> SweepPoint:
@@ -312,18 +333,34 @@ def sweep_alpha(
 
     Per-trial seeds do not depend on the swept alpha, so every point sees the
     same truths and observations and differences isolate the prior choice.
+    Each trial is drawn once, with one pair index, and its baselines are
+    tuned and scored once; only the power-law fit runs per alpha.
     """
     if not alphas:
         raise ValueError("need at least one alpha")
-    baseline = [s for s in base.kernel_candidates if s.family != FAMILY_CHT]
+    baseline = tuple(s for s in base.kernel_candidates if s.family != FAMILY_CHT)
     if not baseline:
         raise ValueError("alpha sweep needs a non-power-law baseline candidate")
-    points = []
-    for alpha in alphas:
-        candidates = (KernelSpec.cht(float(alpha)),) + tuple(baseline)
-        results = run_comparison(replace(base, kernel_candidates=candidates), trials, jobs)
-        points.append(aggregate_point(float(alpha), results))
-    return SweepResult(axis=AXIS_ALPHA, points=tuple(points))
+    powers = [KernelSpec.cht(float(alpha)) for alpha in alphas]
+
+    def trial_results(config: TrialConfig) -> list[TrialResult]:
+        trial = Trial.draw(config)
+        pairs = trial.obs.pair_index(config.grid_n)
+        base_scores = {spec.tag: trial.score(spec, pairs)[0] for spec in baseline}
+        return [
+            _trial_result(
+                config.master_seed, (power, *baseline),
+                {power.tag: trial.score(power, pairs)[0], **base_scores},
+            )
+            for power in powers
+        ]
+
+    per_trial = _map_ordered(trial_results, _repetitions(base, trials), jobs)
+    points = tuple(
+        aggregate_point(float(alpha), [results[i] for results in per_trial])
+        for i, alpha in enumerate(alphas)
+    )
+    return SweepResult(axis=AXIS_ALPHA, points=points)
 
 
 def sweep_density(

@@ -227,27 +227,6 @@ def _cached_kernel_table(spec: KernelSpec, grid: GridSpec) -> KernelTable:
     return KernelTable(grid=grid, values=_symmetrize_table(field.values), spec=spec)
 
 
-def direct_kernel_sum(
-    spec: KernelSpec, dx: tuple[float, float], truncation: int
-) -> float:
-    """Brute-force kernel value: normalized cosine sum over 0 < |n| <= truncation.
-
-    Serves as the independent oracle for :func:`build_kernel_table`; with
-    ``truncation = n // 2`` it enumerates exactly the active modes of the
-    grid density (component magnitudes capped below the truncation radius,
-    matching the dropped Nyquist row and column).
-    """
-    if truncation < 2:
-        raise ValueError("truncation must be at least 2")
-    rng = np.arange(-(truncation - 1), truncation)
-    n1, n2 = np.meshgrid(rng, rng, indexing="ij")
-    ksq = n1 * n1 + n2 * n2
-    keep = (ksq > 0) & (ksq <= truncation * truncation)
-    weights = raw_density(spec, ksq[keep].astype(np.float64))
-    phases = n1[keep] * dx[0] + n2[keep] * dx[1]
-    return float(spec.variance * np.sum(weights * np.cos(phases)) / np.sum(weights))
-
-
 def gram_matrix(
     table: KernelTable, locations, jitter: float = 0.0, pairs: np.ndarray | None = None
 ) -> np.ndarray:

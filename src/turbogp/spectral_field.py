@@ -121,12 +121,6 @@ def mirror_indices(n: int) -> np.ndarray:
     return (-np.arange(n)) % n
 
 
-def hermitian_defect(field: SpectralField) -> float:
-    """Max |coeff(-n) - conj(coeff(n))| over the lattice."""
-    m = mirror_indices(field.grid.n)
-    return float(np.max(np.abs(field.coeffs[np.ix_(m, m)] - np.conj(field.coeffs))))
-
-
 def to_spectral(field: RealField) -> SpectralField:
     """Forward transform; inverse of :func:`to_physical` to ~1e-16."""
     coeffs = np.fft.fft2(field.values) / field.grid.synthesis_scale

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import settings
 
 from turbogp import GridSpec, KernelSpec, build_kernel_table
-from turbogp.spectral_field import SpectralField, to_physical
+from turbogp.kernels import raw_density
+from turbogp.spectral_field import SpectralField, mirror_indices, to_physical
 
 # Shared CPUs stall at random, so per-example deadlines are off; derandomized
 # examples make every run test the same cases and need no example database.
@@ -36,6 +37,31 @@ def cht_spec():
 @pytest.fixture
 def cht_table16(grid16, cht_spec):
     return build_kernel_table(cht_spec, grid16)
+
+
+def direct_kernel_sum(spec, dx, truncation):
+    """Brute-force kernel value: normalized cosine sum over 0 < |n| <= truncation.
+
+    The independent oracle for ``build_kernel_table``; with
+    ``truncation = n // 2`` it enumerates exactly the active modes of the
+    grid density (component magnitudes capped below the truncation radius,
+    matching the dropped Nyquist row and column).
+    """
+    if truncation < 2:
+        raise ValueError("truncation must be at least 2")
+    rng = np.arange(-(truncation - 1), truncation)
+    n1, n2 = np.meshgrid(rng, rng, indexing="ij")
+    ksq = n1 * n1 + n2 * n2
+    keep = (ksq > 0) & (ksq <= truncation * truncation)
+    weights = raw_density(spec, ksq[keep].astype(np.float64))
+    phases = n1[keep] * dx[0] + n2[keep] * dx[1]
+    return float(spec.variance * np.sum(weights * np.cos(phases)) / np.sum(weights))
+
+
+def hermitian_defect(field):
+    """Max |coeff(-n) - conj(coeff(n))| over the lattice."""
+    m = mirror_indices(field.grid.n)
+    return float(np.max(np.abs(field.coeffs[np.ix_(m, m)] - np.conj(field.coeffs))))
 
 
 def dense_prior_covariance(table):

@@ -4,7 +4,7 @@ pass/fail line per criterion.  Run with ``pytest tests/test_acceptance.py -v``.
 
 import numpy as np
 
-from conftest import dense_condition, dense_greedy
+from conftest import dense_condition, dense_greedy, direct_kernel_sum
 from turbogp import (
     GridSpec,
     KernelSpec,
@@ -12,7 +12,6 @@ from turbogp import (
     TrialConfig,
     build_kernel_table,
     check_admissible,
-    direct_kernel_sum,
     energy_variance,
     fit_posterior,
     greedy_sensor_placement,

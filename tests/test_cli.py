@@ -169,6 +169,19 @@ class TestChecksBeforeOutput:
         assert "m must lie in [1, 256]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_grid_runs_no_trial(self, tmp_path, monkeypatch, capsys):
+        # TrialConfig used to accept the grid, and the trial then failed
+        import turbogp.experiments as experiments
+
+        ran = []
+        monkeypatch.setattr(experiments, "run_trial", ran.append)
+        out = tmp_path / "out"
+        assert run_cli("compare", "--n", "4", "--m", "16", "--trials", "1", "--jobs", "1",
+                       "--out", str(out)) == 2
+        assert "grid size must be even and >= 8" in capsys.readouterr().err
+        assert ran == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [
         ("--n", "8"),
         ("--n", "32", "--k-min", "10", "--k-max", "3"),
@@ -188,13 +201,13 @@ class TestOutputDirectory:
 
     def test_numerical_failure_leaves_no_out(self, tmp_path, monkeypatch, capsys):
         # used to leave an empty --out behind
-        import turbogp.cli as cli_module
+        import turbogp.experiments as experiments
         from turbogp.kernels import FactorizationError
 
         def boom(*args, **kwargs):
             raise FactorizationError("synthetic failure")
 
-        monkeypatch.setattr(cli_module, "fit_posterior", boom)
+        monkeypatch.setattr(experiments, "fit_posterior", boom)
         out = tmp_path / "out"
         assert run_cli("reconstruct", "--n", "16", "--m", "10", "--out", str(out)) == 3
         assert "numerical failure" in capsys.readouterr().err
@@ -499,13 +512,13 @@ class TestConfigAndEnvironment:
         assert err.value.code == 2
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        import turbogp.cli as cli_module
+        import turbogp.experiments as experiments
         from turbogp.kernels import FactorizationError
 
         def boom(*args, **kwargs):
             raise FactorizationError("synthetic failure")
 
-        monkeypatch.setattr(cli_module, "fit_posterior", boom)
+        monkeypatch.setattr(experiments, "fit_posterior", boom)
         code = run_cli("reconstruct", "--truth", "gaussian", "--n", "32",
                        "--m", "10", "--seed", "1", "--out", str(tmp_path))
         assert code == 3

@@ -1,6 +1,9 @@
 """Truth generators, observation model, trials, sweeps, and aggregation."""
 
+import gc
 import sys
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,9 +26,13 @@ from turbogp import (
 )
 from turbogp import experiments, gp_inference, kernels
 from turbogp.experiments import (
+    AXIS_ALPHA,
     RBF_LENGTH_SCALES,
     TRUTH_GAUSSIAN,
     TRUTH_VORTEX,
+    SweepResult,
+    Trial,
+    aggregate_point,
     derive_seed,
     generate_truth,
     vortex_superposition,
@@ -223,6 +230,50 @@ class TestRunTrial:
         ell = float(resolved.split("_l")[1])
         assert ell in [pytest.approx(s) for s in RBF_LENGTH_SCALES]
 
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_each_posterior_is_released_before_the_next_fit(self, monkeypatch, sweep):
+        # run_trial used to keep the previous candidate's posterior (factor and
+        # mean field) alive through the next candidate's evidence scan and fit
+        fit = experiments.fit_posterior
+        fitted = []
+
+        def recording_fit(*args, **kwargs):
+            gc.collect()
+            assert all(ref() is None for ref in fitted)
+            post = fit(*args, **kwargs)
+            fitted.append(weakref.ref(post))
+            return post
+
+        monkeypatch.setattr(experiments, "fit_posterior", recording_fit)
+        config = TrialConfig(
+            grid_n=16,
+            alpha_true=1.5,
+            kernel_candidates=(KernelSpec.cht(1.5), KernelSpec.rbf(None), KernelSpec.rbf(0.3)),
+            m=12,
+            noise_ratio=0.1,
+            master_seed=4,
+        )
+        if sweep:
+            sweep_alpha(config, [1.0, 1.5], trials=1)  # two baseline fits, one per alpha
+        else:
+            run_trial(config)
+        assert len(fitted) == (4 if sweep else 3)
+
+    def test_explicit_truth_must_match_the_grid(self):
+        config = TrialConfig(
+            grid_n=16,
+            alpha_true=1.5,
+            kernel_candidates=(KernelSpec.cht(1.5),),
+            m=12,
+            noise_ratio=0.1,
+            master_seed=4,
+        )
+        truth = generate_cht_truth(1.5, GridSpec(32), 1)
+        with pytest.raises(ValueError, match="does not match"):
+            Trial.draw(config, truth)
+        trial = Trial.draw(replace(config, grid_n=32), truth)
+        assert trial.truth is truth and trial.obs.m == 12
+
 
 class TestSweeps:
     def _base(self, **overrides):
@@ -275,6 +326,43 @@ class TestSweeps:
         # used to be accepted, and every trial then failed in observe
         with pytest.raises(ValueError, match="noise_ratio"):
             self._base(noise_ratio=ratio)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_alpha_sweep_equals_one_comparison_per_alpha(self, jobs):
+        # the definition the sweep had before it shared each trial's draw and
+        # baseline across alphas, kept here as the oracle
+        base = self._base()
+        alphas = [0.75, 1.5, 1.0]
+        baselines = tuple(s for s in base.kernel_candidates if s.family != kernels.FAMILY_CHT)
+        oracle = SweepResult(AXIS_ALPHA, tuple(
+            aggregate_point(a, run_comparison(
+                replace(base, kernel_candidates=(KernelSpec.cht(a), *baselines)), 3, jobs
+            ))
+            for a in alphas
+        ))
+        assert sweep_alpha(base, alphas, 3, jobs) == oracle
+
+    def test_alpha_sweep_draws_and_tunes_each_trial_once(self, monkeypatch):
+        calls = {"generate_truth": 0, "select_hyperparameter": 0}
+
+        def counting(name):
+            original = getattr(experiments, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(experiments, name, counting(name))
+        sweep_alpha(self._base(grid_n=16, m=12), [0.75, 1.0, 1.5], trials=2)
+        assert calls == {"generate_truth": 2, "select_hyperparameter": 2}
+
+    @pytest.mark.parametrize("grid_n", [15, 6])
+    def test_grid_rejected_by_config(self, grid_n):
+        with pytest.raises(ValueError, match="grid size must be even and >= 8"):
+            self._base(grid_n=grid_n, m=4)
 
     def test_density_sweep_checks_every_count_before_running(self, monkeypatch):
         ran = []

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import direct_kernel_sum
 from turbogp import (
     GridSpec,
     KernelSpec,
@@ -15,7 +16,6 @@ from turbogp import (
     PhysicsParams,
     build_kernel_table,
     check_admissible,
-    direct_kernel_sum,
     forcing_to_alpha,
     gram_matrix,
     spectral_density,

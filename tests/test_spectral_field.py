@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import mask_sample_gaussian_field
+from conftest import hermitian_defect, mask_sample_gaussian_field
 from turbogp import (
     GridSpec,
     KernelSpec,
@@ -24,7 +24,7 @@ from turbogp import (
     to_physical,
     to_spectral,
 )
-from turbogp.spectral_field import hermitian_defect, mirror_indices
+from turbogp.spectral_field import mirror_indices
 
 
 class TestGridSpec:
