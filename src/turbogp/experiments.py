@@ -138,19 +138,18 @@ class AlphaSpectrumResult:
     mode_avg_fit: PowerLawFit
 
 
-def _unit_variance(values: np.ndarray) -> tuple[np.ndarray, float]:
+def _unit_variance(values: np.ndarray) -> np.ndarray:
     scale = float(np.sqrt(np.mean(values**2)))
     if scale == 0.0:
         raise ValueError("cannot rescale a zero field to unit variance")
-    return values / scale, scale
+    return values / scale
 
 
 def generate_cht_truth(alpha: float, grid: GridSpec, seed: int) -> RealField:
     """Equilibrium power-law sample rescaled to unit grid variance."""
     density = spectral_density(KernelSpec.cht(alpha), grid)
     raw = sample_gaussian_field(density, grid, seed)
-    values, _ = _unit_variance(raw.values)
-    return RealField(grid, values)
+    return RealField(grid, _unit_variance(raw.values))
 
 
 def vortex_superposition(
@@ -180,8 +179,7 @@ def generate_vortex_truth(params: VortexParams, grid: GridSpec, seed: int) -> Re
     """Non-Gaussian vortex field, mean-removed and rescaled to unit variance."""
     values = vortex_superposition(params, grid, seed)
     values = values - values.mean()
-    values, _ = _unit_variance(values)
-    return RealField(grid, values)
+    return RealField(grid, _unit_variance(values))
 
 
 def observe(truth: RealField, m: int, noise_ratio: float, seed: int) -> ObservationSet:
@@ -369,6 +367,9 @@ def sweep_density(
     """Reconstruction quality across observation counts, seeds independent per m."""
     if not m_values:
         raise ValueError("need at least one observation count")
+    families = {spec.family == FAMILY_CHT for spec in base.kernel_candidates}
+    if families != {True, False}:
+        raise ValueError("density sweep needs a power-law and a non-power-law candidate")
     # every count is checked, by TrialConfig, before any trial runs
     configs = [
         [replace(base, m=int(m), master_seed=derive_seed(base.master_seed, mi, t))

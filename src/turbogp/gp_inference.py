@@ -32,6 +32,7 @@ from .kernels import (
     _check_on_grid,
     _offset_gather,
     _offset_index,
+    build_kernel_table,
     gram_matrix,
     robust_cholesky,
     spectral_density,
@@ -43,6 +44,12 @@ from .spectral_field import GridSpec, RealField, SpectralField, to_physical
 #: batches stay in cache: at n = 256, m = 400 batches of 2 rows took 0.70 s
 #: and batches of 8 took 0.95 s (2-vCPU host, scipy.fft).
 VARIANCE_CHUNK_ROWS = 2
+
+#: Greedy placement counts posterior variances within this fraction of the
+#: prior variance of the maximum as tied.  Rank-1 updates can round
+#: analytically equal variances an ulp apart (1.1e-16 at unit variance), and
+#: a distinct pick then changes every pick after it.
+VARIANCE_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -201,8 +208,6 @@ def select_hyperparameter(
     """
     if not candidates:
         raise ValueError("need at least one candidate")
-    from .kernels import build_kernel_table
-
     if pairs is None:
         pairs = obs.pair_index(grid.n)
     best_spec = None
@@ -266,8 +271,10 @@ def energy_variance(post: Posterior) -> float:
     return max(0.25 * (prior_term - 2.0 * cross + rank_m), 0.0)
 
 
-def _argmax_lowest_index(variances: np.ndarray, candidates: np.ndarray, n: int) -> int:
-    best = np.flatnonzero(variances == variances.max())
+def _argmax_lowest_index(
+    variances: np.ndarray, candidates: np.ndarray, n: int, tol: float
+) -> int:
+    best = np.flatnonzero(variances >= variances.max() - tol)
     linear = candidates[best, 0] * n + candidates[best, 1]
     return int(best[np.argmin(linear)])
 
@@ -277,30 +284,25 @@ def greedy_sensor_placement(
     obs: ObservationSet,
     candidates: np.ndarray | Sequence[tuple[int, int]],
     count: int,
-    method: str = "fast",
 ) -> list[tuple[int, int]]:
     """Pick ``count`` locations by repeatedly maximizing posterior variance.
 
     Each pick is conditioned on as a pseudo-observation with the observation
-    set's noise variance (values are irrelevant for variance updates).  Ties
-    break toward the lowest linear grid index.  ``method="fast"`` extends a
-    Cholesky factor one rank at a time; ``method="refit"`` refits the
-    posterior after each pick and reads :meth:`Posterior.variance_at` at the
-    candidates.  Both produce identical selections.
+    set's noise variance (values are irrelevant for variance updates), by
+    extending a Cholesky factor one rank at a time.  Variances within
+    ``VARIANCE_TIE_RTOL`` (1e-12) times the prior variance of the maximum
+    count as tied, and ties break toward the lowest linear grid index.
     """
     cands = np.asarray(candidates, dtype=np.int64).reshape(-1, 2)
     if count < 1:
         raise ValueError("count must be at least 1")
     if count > len(cands):
         raise ValueError("count exceeds the candidate pool")
-    if method not in ("fast", "refit"):
-        raise ValueError("method must be 'fast' or 'refit'")
     n = kernel.grid.n
     _check_on_grid(cands, n, "candidates")
-    if method == "refit":
-        return _greedy_refit(kernel, obs, cands, count)
 
     sigma2 = kernel.spec.variance
+    tol = VARIANCE_TIE_RTOL * sigma2
     noise = obs.noise_variance
     m = obs.m
     # rows of L^-1 K(X, candidates): one per observation, then one per pick
@@ -314,7 +316,7 @@ def greedy_sensor_placement(
     available = np.ones(len(cands), dtype=bool)
     for k in range(count):
         masked = np.where(available, variances, -np.inf)
-        pick = _argmax_lowest_index(masked, cands, n)
+        pick = _argmax_lowest_index(masked, cands, n, tol)
         point = (int(cands[pick, 0]), int(cands[pick, 1]))
         selected.append(point)
         available[pick] = False
@@ -329,25 +331,4 @@ def greedy_sensor_placement(
         row_cross = _offset_gather(kernel.values, cands[pick : pick + 1], cands)[0]
         half[m + k] = (row_cross - ell @ rows) / d
         variances = variances - half[m + k] ** 2
-    return selected
-
-
-def _greedy_refit(
-    kernel: KernelTable, obs: ObservationSet, cands: np.ndarray, count: int
-) -> list[tuple[int, int]]:
-    n = kernel.grid.n
-    selected: list[tuple[int, int]] = []
-    available = np.ones(len(cands), dtype=bool)
-    for _ in range(count):
-        locs = list(map(tuple, obs.locations.tolist())) + selected
-        pseudo = ObservationSet(
-            locations=np.asarray(locs, dtype=np.int64).reshape(-1, 2),
-            values=np.zeros(len(locs)),
-            noise_variance=obs.noise_variance,
-        )
-        variances = fit_posterior(kernel, pseudo).variance_at(cands)
-        masked = np.where(available, variances, -np.inf)
-        pick = _argmax_lowest_index(masked, cands, n)
-        selected.append((int(cands[pick, 0]), int(cands[pick, 1])))
-        available[pick] = False
     return selected

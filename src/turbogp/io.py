@@ -1,11 +1,11 @@
 """Deterministic output files: binary field dumps, CSV tables, run manifests.
 
 Field dumps are a JSON header next to a raw little-endian float64 payload
-(row-major; spectral payloads interleave real and imaginary parts).  The
-reader rejects a malformed header and a non-finite payload with
-``ValueError``.  CSV floats are written with 17 significant digits so values
-round-trip exactly.  Every writer creates the directories above its file, so
-an output directory exists only once a file has been written into it.
+(row-major, one real value per grid point).  The reader rejects a malformed
+header and a non-finite payload with ``ValueError``.  CSV floats are written
+with 17 significant digits so values round-trip exactly.  Every writer
+creates the directories above its file, so an output directory exists only
+once a file has been written into it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import __version__
-from .spectral_field import GridSpec, RealField, SpectralField
+from .spectral_field import GridSpec, RealField
 
 CSV_SCHEMA_VERSION = 1
 
@@ -53,27 +53,18 @@ def write_json(path: Union[str, Path], obj) -> None:
 
 def write_field_dump(
     json_path: Union[str, Path],
-    field: Union[RealField, SpectralField],
+    field: RealField,
     seed: Optional[int] = None,
     alpha: Optional[float] = None,
 ) -> None:
     json_path = _new_file(json_path)
-    bin_path = json_path.with_suffix(".bin")
-    if isinstance(field, RealField):
-        kind = "real"
-        payload = np.ascontiguousarray(field.values, dtype="<f8")
-    else:
-        kind = "spectral"
-        n = field.grid.n
-        payload = np.empty(2 * n * n, dtype="<f8")
-        payload[0::2] = field.coeffs.real.ravel()
-        payload[1::2] = field.coeffs.imag.ravel()
-    header = {"n": field.grid.n, "kind": kind, "seed": seed, "alpha": alpha}
+    header = {"n": field.grid.n, "kind": "real", "seed": seed, "alpha": alpha}
     json_path.write_text(json.dumps(header, sort_keys=True) + "\n")
-    bin_path.write_bytes(payload.tobytes())
+    payload = np.ascontiguousarray(field.values, dtype="<f8")
+    json_path.with_suffix(".bin").write_bytes(payload.tobytes())
 
 
-def read_field_dump(json_path: Union[str, Path]) -> Union[RealField, SpectralField]:
+def read_field_dump(json_path: Union[str, Path]) -> RealField:
     json_path = Path(json_path)
     header = json.loads(json_path.read_text())
     if not isinstance(header, dict):
@@ -81,20 +72,15 @@ def read_field_dump(json_path: Union[str, Path]) -> Union[RealField, SpectralFie
     n, kind = header.get("n"), header.get("kind")
     if type(n) is not int:
         raise ValueError(f"{json_path}: field dump header needs an integer 'n', got {n!r}")
-    if kind not in ("real", "spectral"):
+    if kind != "real":
         raise ValueError(f"{json_path}: unknown field kind {kind!r}")
     grid = GridSpec(n)
     raw = np.frombuffer(json_path.with_suffix(".bin").read_bytes(), dtype="<f8")
     if not np.all(np.isfinite(raw)):
         raise ValueError(f"{json_path}: field payload holds non-finite values")
-    if kind == "real":
-        if raw.size != n * n:
-            raise ValueError("field payload size does not match header")
-        return RealField(grid, raw.reshape(n, n))
-    if raw.size != 2 * n * n:
-        raise ValueError("spectral payload size does not match header")
-    coeffs = raw[0::2] + 1j * raw[1::2]
-    return SpectralField(grid, coeffs.reshape(n, n))
+    if raw.size != n * n:
+        raise ValueError("field payload size does not match header")
+    return RealField(grid, raw.reshape(n, n))
 
 
 def write_manifest(

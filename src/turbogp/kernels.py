@@ -227,9 +227,7 @@ def _cached_kernel_table(spec: KernelSpec, grid: GridSpec) -> KernelTable:
     return KernelTable(grid=grid, values=_symmetrize_table(field.values), spec=spec)
 
 
-def gram_matrix(
-    table: KernelTable, locations, jitter: float = 0.0, pairs: np.ndarray | None = None
-) -> np.ndarray:
+def gram_matrix(table: KernelTable, locations, pairs: np.ndarray | None = None) -> np.ndarray:
     """Kernel matrix between grid locations via periodic table lookups.
 
     The lookups go through a flat pair index that depends only on the
@@ -243,8 +241,6 @@ def gram_matrix(
     if locs.ndim != 2 or locs.shape[1] != 2:
         raise ValueError("locations must be an (m, 2) array of grid indices")
     _check_on_grid(locs, n, "locations")
-    if jitter < 0:
-        raise ValueError("jitter must be nonnegative")
     if pairs is None:
         pairs = _offset_index(locs, locs, n)
     elif pairs.shape != (len(locs), len(locs)) or not np.array_equal(
@@ -253,10 +249,7 @@ def gram_matrix(
         # row 0 holds x_0 - x_j for every j and every other entry is the
         # difference of two of those, so on one grid row 0 fixes the index
         raise ValueError("pairs must be the (m, m) pair index of the locations on this grid")
-    g = np.take(table.values, pairs)
-    if jitter:
-        g = g + jitter * np.eye(len(locs))
-    return g
+    return np.take(table.values, pairs)
 
 
 def _check_on_grid(points: np.ndarray, n: int, what: str) -> None:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from turbogp import GridSpec, KernelSpec, build_kernel_table
+from turbogp import GridSpec, KernelSpec, ObservationSet, build_kernel_table, fit_posterior
+from turbogp.gp_inference import VARIANCE_TIE_RTOL
 from turbogp.kernels import raw_density
 from turbogp.spectral_field import SpectralField, mirror_indices, to_physical
 
@@ -92,6 +93,20 @@ def dense_condition(table, locations, values, noise_variance):
     return mean, cov
 
 
+def _greedy_pick(table, variances, cands, available):
+    """Index of the available candidate of maximal variance.
+
+    Variances within ``VARIANCE_TIE_RTOL`` times the prior variance of the
+    maximum tie, and the tie goes to the lowest linear grid index.
+    """
+    n = table.grid.n
+    masked = np.where(available, variances, -np.inf)
+    tol = VARIANCE_TIE_RTOL * table.spec.variance
+    best = np.flatnonzero(masked >= masked.max() - tol)
+    linear = cands[best, 0] * n + cands[best, 1]
+    return int(best[np.argmin(linear)])
+
+
 def dense_greedy(table, obs_locations, noise_variance, candidates, count):
     """Exhaustive greedy placement via dense conditioning at every step."""
     n = table.grid.n
@@ -104,16 +119,37 @@ def dense_greedy(table, obs_locations, noise_variance, candidates, count):
             table, chosen, np.zeros(len(chosen)), noise_variance
         )
         diag = np.diag(cov)
-        var = diag[cands[:, 0] * n + cands[:, 1]]
-        masked = np.where(available, var, -np.inf)
-        best = np.flatnonzero(masked == masked.max())
-        linear = cands[best, 0] * n + cands[best, 1]
-        pick = int(best[np.argmin(linear)])
+        pick = _greedy_pick(table, diag[cands[:, 0] * n + cands[:, 1]], cands, available)
         point = (int(cands[pick, 0]), int(cands[pick, 1]))
         picked.append(point)
         chosen.append(point)
         available[pick] = False
     return picked
+
+
+def refit_greedy(table, obs, candidates, count):
+    """Greedy placement that refits the posterior after every pick.
+
+    The oracle for ``greedy_sensor_placement``'s rank-1 factor updates: each
+    step conditions on the observations plus the picks so far, as
+    pseudo-observations with the set's noise variance, and reads
+    ``Posterior.variance_at`` at the candidates.
+    """
+    cands = np.asarray(candidates, dtype=np.int64).reshape(-1, 2)
+    selected = []
+    available = np.ones(len(cands), dtype=bool)
+    for _ in range(count):
+        locs = list(map(tuple, obs.locations.tolist())) + selected
+        pseudo = ObservationSet(
+            locations=np.asarray(locs, dtype=np.int64).reshape(-1, 2),
+            values=np.zeros(len(locs)),
+            noise_variance=obs.noise_variance,
+        )
+        variances = fit_posterior(table, pseudo).variance_at(cands)
+        pick = _greedy_pick(table, variances, cands, available)
+        selected.append((int(cands[pick, 0]), int(cands[pick, 1])))
+        available[pick] = False
+    return selected
 
 
 def mask_sample_gaussian_field(density, grid, seed):

@@ -4,7 +4,7 @@ pass/fail line per criterion.  Run with ``pytest tests/test_acceptance.py -v``.
 
 import numpy as np
 
-from conftest import dense_condition, dense_greedy, direct_kernel_sum
+from conftest import dense_condition, dense_greedy, direct_kernel_sum, refit_greedy
 from turbogp import (
     GridSpec,
     KernelSpec,
@@ -97,8 +97,8 @@ def test_criterion_03_oracle_equivalence():
     ok = ok and ev_err < 1e-8
 
     candidates = [(a, b) for a in range(0, 16, 2) for b in range(0, 16, 2)]
-    fast = greedy_sensor_placement(table, obs, candidates, 5, method="fast")
-    refit = greedy_sensor_placement(table, obs, candidates, 5, method="refit")
+    fast = greedy_sensor_placement(table, obs, candidates, 5)
+    refit = refit_greedy(table, obs, candidates, 5)
     oracle_greedy = dense_greedy(table, obs.locations, 0.01, candidates, 5)
     ok = ok and fast == refit == oracle_greedy
 

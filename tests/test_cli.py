@@ -8,7 +8,7 @@ import pytest
 
 from turbogp.cli import COMMANDS, main
 from turbogp.io import read_field_dump, write_csv, write_field_dump, write_json
-from turbogp import GridSpec, RealField, SpectralField
+from turbogp import GridSpec, RealField
 
 
 def run_cli(*argv):
@@ -42,23 +42,13 @@ class TestFieldDump:
         header = json.loads(path.read_text())
         assert header == {"n": 16, "kind": "real", "seed": 3, "alpha": 1.5}
 
-    def test_spectral_round_trip(self, tmp_path):
-        grid = GridSpec(16)
-        rng = np.random.default_rng(2)
-        coeffs = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        field = SpectralField(grid, coeffs)
-        path = tmp_path / "s.json"
-        write_field_dump(path, field)
-        loaded = read_field_dump(path)
-        assert isinstance(loaded, SpectralField)
-        assert np.array_equal(loaded.coeffs, field.coeffs)
-
     @pytest.mark.parametrize("header", [
         {"n": 16},                      # no kind
         {"n": 16, "kind": "complex"},   # unknown kind
         {"kind": "real"},               # no n
         {"n": 16.5, "kind": "real"},    # fractional n
         [16, "real"],                   # not an object
+        {"n": 16, "kind": "spectral"},  # spectral dumps are not a format
     ])
     def test_malformed_header_rejected(self, tmp_path, header):
         path = tmp_path / "f.json"

@@ -371,6 +371,26 @@ class TestSweeps:
             sweep_density(self._base(grid_n=16), [10, 300], trials=2)
         assert ran == []
 
+    @pytest.mark.parametrize("candidates", [
+        (KernelSpec.cht(1.5),),
+        (KernelSpec.rbf(None),),
+    ], ids=["power_law_only", "baseline_only"])
+    def test_density_sweep_needs_both_families_before_running(self, monkeypatch, candidates):
+        # the improvement compares a power-law fit against a baseline fit, so
+        # a config without one of them is rejected before any trial runs
+        ran = []
+        original = experiments.run_trial
+
+        def counting_run_trial(config):
+            ran.append(config)
+            return original(config)
+
+        monkeypatch.setattr(experiments, "run_trial", counting_run_trial)
+        base = self._base(grid_n=16, m=12, kernel_candidates=candidates)
+        with pytest.raises(ValueError, match="power-law and a non-power-law"):
+            sweep_density(base, [12, 20], trials=3)
+        assert ran == []
+
     def test_one_pair_index_per_trial(self, monkeypatch):
         # the evidence scan and both fits gather through the index the trial built
         built, passed = [], []
@@ -381,9 +401,9 @@ class TestSweeps:
             built.append(n)
             return pair_index(obs, n)
 
-        def recording_gram(table, locations, jitter=0.0, pairs=None):
+        def recording_gram(table, locations, pairs=None):
             passed.append(pairs)
-            return gram(table, locations, jitter, pairs)
+            return gram(table, locations, pairs)
 
         monkeypatch.setattr(ObservationSet, "pair_index", counting_pair_index)
         monkeypatch.setattr(gp_inference, "gram_matrix", recording_gram)

@@ -5,10 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import dense_condition, dense_greedy, dense_prior_covariance
+from conftest import dense_condition, dense_greedy, dense_prior_covariance, refit_greedy
 from turbogp import (
     GridSpec,
     KernelSpec,
@@ -378,6 +378,16 @@ class TestEnergyVariance:
             assert ev_big <= ev_small + 1e-12
 
 
+_PLACEMENT_SPECS = [
+    KernelSpec.cht(0.75),
+    KernelSpec.cht(1.5),
+    KernelSpec.rbf(0.5),
+    KernelSpec.rbf(1.2),
+    KernelSpec.matern(1.5, 0.8),
+]
+_POINT = st.tuples(st.integers(0, 15), st.integers(0, 15))
+
+
 class TestGreedyPlacement:
     def test_first_pick_breaks_tie_at_lowest_index(self, cht_table16):
         obs = ObservationSet(np.zeros((0, 2), dtype=int), np.zeros(0), 0.01)
@@ -414,12 +424,46 @@ class TestGreedyPlacement:
     def test_fast_refit_and_dense_agree(self, cht_table16):
         obs = _random_obs(cht_table16.grid, 4, seed=21)
         candidates = [(a, b) for a in range(0, 16, 2) for b in range(0, 16, 2)]
-        fast = greedy_sensor_placement(cht_table16, obs, candidates, 5, method="fast")
-        refit = greedy_sensor_placement(cht_table16, obs, candidates, 5, method="refit")
+        fast = greedy_sensor_placement(cht_table16, obs, candidates, 5)
+        refit = refit_greedy(cht_table16, obs, candidates, 5)
         oracle = dense_greedy(
             cht_table16, obs.locations, obs.noise_variance, candidates, 5
         )
         assert fast == refit == oracle
+
+    def test_analytic_tie_breaks_at_lowest_index(self, grid8):
+        # after the pick at (0, 0), (0, 4) and (2, 6) have the same variance,
+        # which the rank-1 update rounds apart in the last bits
+        table = build_kernel_table(KernelSpec.cht(1.5), grid8)
+        obs = ObservationSet(np.array([[6, 6]]), np.zeros(1), 0.01)
+        candidates = [(0, 0), (0, 4), (2, 6)]
+        picks = greedy_sensor_placement(table, obs, candidates, 2)
+        assert picks == [(0, 0), (0, 4)]
+        assert picks == refit_greedy(table, obs, candidates, 2)
+        assert picks == dense_greedy(table, obs.locations, 0.01, candidates, 2)
+
+    @given(
+        n=st.sampled_from([8, 10, 12, 16]),
+        spec=st.sampled_from(_PLACEMENT_SPECS),
+        observed=st.lists(_POINT, max_size=6),
+        noise=st.sampled_from([1e-4, 0.01, 0.1]),
+        pool=st.lists(_POINT, min_size=1, max_size=24),
+        count=st.integers(1, 4),
+    )
+    @example(
+        n=8, spec=KernelSpec.cht(1.5), observed=[(6, 6)], noise=0.01,
+        pool=[(0, 0), (0, 4), (2, 6)], count=2,
+    )
+    def test_fast_matches_refit_and_dense(self, n, spec, observed, noise, pool, count):
+        # points are drawn on the largest grid and wrapped onto this one
+        table = build_kernel_table(spec, GridSpec(n))
+        locs = np.array(observed, dtype=np.int64).reshape(-1, 2) % n
+        obs = ObservationSet(locs, np.zeros(len(locs)), noise)
+        candidates = list(dict.fromkeys((a % n, b % n) for a, b in pool))
+        count = min(count, len(candidates))
+        fast = greedy_sensor_placement(table, obs, candidates, count)
+        assert fast == refit_greedy(table, obs, candidates, count)
+        assert fast == dense_greedy(table, locs, noise, candidates, count)
 
     def test_contraction_with_observation_count(self):
         grid = GridSpec(64)

@@ -205,12 +205,12 @@ class TestDirectKernelSum:
 
 class TestGramMatrix:
     def test_single_location(self, cht_table16):
-        g = gram_matrix(cht_table16, [(3, 4)], jitter=0.25)
+        g = gram_matrix(cht_table16, [(3, 4)])
         assert g.shape == (1, 1)
-        assert g[0, 0] == pytest.approx(1.0 + 0.25, rel=1e-12)
+        assert g[0, 0] == pytest.approx(cht_table16.spec.variance, rel=1e-12)
 
     def test_coincident_locations_rank_one(self, cht_table16):
-        g = gram_matrix(cht_table16, [(3, 4), (3, 4)], jitter=0.0)
+        g = gram_matrix(cht_table16, [(3, 4), (3, 4)])
         assert np.allclose(g, cht_table16.values[0, 0])
         assert np.linalg.matrix_rank(g, tol=1e-10) == 1
 
