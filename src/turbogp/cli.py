@@ -384,7 +384,7 @@ def cmd_reconstruct(params: dict) -> None:
         truth_kind=params["truth"],
     )
     trial = Trial.draw(config, truth)
-    score, post = trial.score(spec)
+    score, post = trial.score(spec, jobs=params["jobs"])
     outdir = Path(params["out"])
     write_field_dump(outdir / "mean.json", post.mean_field, seed=params["seed"])
     write_field_dump(outdir / "variance.json", post.variance_field, seed=params["seed"])
@@ -464,7 +464,7 @@ COMMANDS: dict[str, Command] = {
         Param("alpha", _finite, help="power-law exponent (default: --alpha-true)"),
         _LENGTH_SCALE, _NU,
         Param("level", _level, 0.95, help="credible level"),
-        _GAMMA,
+        _GAMMA, _JOBS,
     ),
 }
 

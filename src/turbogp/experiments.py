@@ -12,14 +12,15 @@ metric eps; every comparison, sweep and ``reconstruct`` scores through it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .gp_inference import ObservationSet, Posterior, fit_posterior, select_hyperparameter
-from .kernels import FAMILY_CHT, KernelSpec, build_kernel_table, spectral_density
+from .gp_inference import (
+    ObservationSet, Posterior, _ordered_map, fit_posterior, select_hyperparameter,
+)
+from .kernels import FAMILY_CHT, KernelSpec, KernelTable, build_kernel_table, spectral_density
 from .spectral_field import (
     GridSpec,
     PowerLawFit,
@@ -253,15 +254,24 @@ class Trial:
         return spec
 
     def score(
-        self, spec: KernelSpec, pairs: Optional[np.ndarray] = None
+        self, spec: KernelSpec, pairs: Optional[np.ndarray] = None, jobs: int = 1
     ) -> tuple[KernelScore, Posterior]:
-        """Resolve, fit and score ``spec``; returns its score and posterior."""
-        resolved = self._tune(spec, pairs)
-        post = fit_posterior(build_kernel_table(resolved, self.truth.grid), self.obs, pairs)
+        """Resolve, fit and score ``spec``; returns its score and posterior.
+
+        ``jobs`` threads build the posterior's variance field, if it is read.
+        """
+        table = build_kernel_table(self._tune(spec, pairs), self.truth.grid)
+        return self.score_table(table, pairs, jobs)
+
+    def score_table(
+        self, table: KernelTable, pairs: Optional[np.ndarray] = None, jobs: int = 1
+    ) -> tuple[KernelScore, Posterior]:
+        """Fit and score the prior of a built ``table``, as :meth:`score` does."""
+        post = fit_posterior(table, self.obs, pairs, jobs)
         diff = post.mean_field.values - self.truth.values
         rmse = float(np.sqrt(np.mean(diff**2)))
         eps = rmse / float(np.std(self.truth.values))
-        return KernelScore(eps=eps, rmse=rmse, resolved_tag=resolved.tag), post
+        return KernelScore(eps=eps, rmse=rmse, resolved_tag=table.spec.tag), post
 
 
 def _trial_result(
@@ -294,20 +304,13 @@ def run_trial(config: TrialConfig) -> TrialResult:
     return _trial_result(config.master_seed, config.kernel_candidates, per_kernel)
 
 
-def _map_ordered(fn: Callable, items: Sequence, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _repetitions(base: TrialConfig, trials: int) -> list[TrialConfig]:
     return [replace(base, master_seed=derive_seed(base.master_seed, t)) for t in range(trials)]
 
 
 def run_comparison(base: TrialConfig, trials: int, jobs: int = 1) -> list[TrialResult]:
     """Independent repetitions of a trial with derived per-trial seeds."""
-    return _map_ordered(run_trial, _repetitions(base, trials), jobs)
+    return list(_ordered_map(run_trial, _repetitions(base, trials), jobs))
 
 
 def aggregate_point(axis_value: float, results: Sequence[TrialResult]) -> SweepPoint:
@@ -332,14 +335,18 @@ def sweep_alpha(
     Per-trial seeds do not depend on the swept alpha, so every point sees the
     same truths and observations and differences isolate the prior choice.
     Each trial is drawn once, with one pair index, and its baselines are
-    tuned and scored once; only the power-law fit runs per alpha.
+    tuned and scored once; only the power-law fit runs per alpha.  The
+    power-law tables are built once, before the first trial, and held for
+    the sweep, so the kernel-table cache keeps only the baselines' tables
+    and a sweep of any length builds each distinct table once.
     """
     if not alphas:
         raise ValueError("need at least one alpha")
     baseline = tuple(s for s in base.kernel_candidates if s.family != FAMILY_CHT)
     if not baseline:
         raise ValueError("alpha sweep needs a non-power-law baseline candidate")
-    powers = [KernelSpec.cht(float(alpha)) for alpha in alphas]
+    grid = GridSpec(base.grid_n)
+    powers = [build_kernel_table(KernelSpec.cht(float(alpha)), grid) for alpha in alphas]
 
     def trial_results(config: TrialConfig) -> list[TrialResult]:
         trial = Trial.draw(config)
@@ -347,13 +354,13 @@ def sweep_alpha(
         base_scores = {spec.tag: trial.score(spec, pairs)[0] for spec in baseline}
         return [
             _trial_result(
-                config.master_seed, (power, *baseline),
-                {power.tag: trial.score(power, pairs)[0], **base_scores},
+                config.master_seed, (power.spec, *baseline),
+                {power.spec.tag: trial.score_table(power, pairs)[0], **base_scores},
             )
             for power in powers
         ]
 
-    per_trial = _map_ordered(trial_results, _repetitions(base, trials), jobs)
+    per_trial = list(_ordered_map(trial_results, _repetitions(base, trials), jobs))
     points = tuple(
         aggregate_point(float(alpha), [results[i] for results in per_trial])
         for i, alpha in enumerate(alphas)
@@ -377,7 +384,7 @@ def sweep_density(
         for mi, m in enumerate(m_values)
     ]
     points = [
-        aggregate_point(float(m), _map_ordered(run_trial, point_configs, jobs))
+        aggregate_point(float(m), list(_ordered_map(run_trial, point_configs, jobs)))
         for m, point_configs in zip(m_values, configs)
     ]
     return SweepResult(axis=AXIS_DENSITY, points=tuple(points))

@@ -4,7 +4,9 @@ credible intervals, energy-functional variance, and greedy sensor placement.
 Every prior is a stationary kernel on the torus, so the posterior mean is a
 circular convolution of the weighted observation deltas with the kernel
 table (one ``rfft2``/``irfft2`` pair) and the variance field is a sum of m
-squared such convolutions; no ``m x n^2`` cross-covariance is formed.
+squared such convolutions, one per row of the inverse Gram factor, which
+:attr:`Posterior.jobs` threads compute and the calling thread adds up in row
+order; no ``m x n^2`` cross-covariance is formed.
 A fitted posterior holds only the ``m x m`` Gram factor and the weights;
 fields are computed when first read.  An empty observation set takes the
 same path: its 0 x 0 factor leaves the prior.
@@ -16,9 +18,11 @@ point), so traces and norms are grid means rather than physical integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.fft import irfft2, rfft2
@@ -39,17 +43,32 @@ from .kernels import (
 )
 from .spectral_field import GridSpec, RealField, SpectralField, to_physical
 
-#: Rows of the inverse Gram factor convolved per FFT batch when the variance
-#: field is assembled; working memory is about 3 grids per row.  Small
-#: batches stay in cache: at n = 256, m = 400 batches of 2 rows took 0.70 s
-#: and batches of 8 took 0.95 s (2-vCPU host, scipy.fft).
-VARIANCE_CHUNK_ROWS = 2
-
 #: Greedy placement counts posterior variances within this fraction of the
 #: prior variance of the maximum as tied.  Rank-1 updates can round
 #: analytically equal variances an ulp apart (1.1e-16 at unit variance), and
 #: a distinct pick then changes every pick after it.
 VARIANCE_TIE_RTOL = 1e-12
+
+
+def _ordered_map(fn: Callable, items: Sequence, jobs: int) -> Iterator:
+    """``map(fn, items)`` on ``jobs`` threads, yielding results in item order.
+
+    At most ``jobs + 1`` calls are running or waiting to be read, so a
+    consumer that drops each result before the next holds bounded memory,
+    and what it does with the results does not depend on ``jobs``.  One job
+    or one item runs in the calling thread.
+    """
+    if jobs <= 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        pending: deque = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) > jobs:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 @dataclass(frozen=True)
@@ -100,9 +119,11 @@ class Posterior:
     ``jitter`` on its diagonal) and ``alpha_weights`` solves it against the
     observed values.  The fields are computed on first read and kept:
     ``mean_field`` is one FFT convolution, O(n^2 log n); ``variance_field``
-    and ``clamp_count`` convolve the rows of L^-1 in chunks of
-    ``VARIANCE_CHUNK_ROWS``, O(m n^2 log n) time in bounded memory.
-    :meth:`variance_at` reads the variance at chosen points without a field.
+    and ``clamp_count`` square one convolution per row of L^-1, O(m n^2 log n)
+    time.  The rows run as tasks on ``jobs`` threads, at most ``jobs + 1`` at
+    a time, and are added up in row order, so the field's bytes do not
+    depend on ``jobs``.  :meth:`variance_at` reads the variance at chosen
+    points without a field.
     """
 
     kernel: KernelTable
@@ -110,22 +131,29 @@ class Posterior:
     chol: np.ndarray
     alpha_weights: np.ndarray
     jitter: float
+    jobs: int = field(default=1, compare=False)
 
     def _convolve(self, weights: np.ndarray) -> np.ndarray:
-        # row r of the result is sum_i weights[r, i] K(x - x_i) over the grid;
-        # np.add.at sums the deltas of coincident observations
+        # sum_i weights[i] K(x - x_i) over the grid; np.bincount sums the
+        # deltas of coincident observations
         n = self.kernel.grid.n
         locs = self.obs.locations
-        deltas = np.zeros((len(weights), n, n))
-        np.add.at(deltas, (slice(None), locs[:, 0], locs[:, 1]), weights)
-        spectra = rfft2(deltas)
-        spectra *= self.kernel.spectrum
-        return irfft2(spectra, s=(n, n), overwrite_x=True)
+        deltas = np.bincount(locs[:, 0] * n + locs[:, 1], weights=weights, minlength=n * n)
+        spectrum = rfft2(deltas.reshape(n, n))
+        del deltas  # one grid less at the peak, which the inverse transform sets
+        spectrum *= self.kernel.spectrum
+        return irfft2(spectrum, s=(n, n), overwrite_x=True)
+
+    def _squared_row(self, row: np.ndarray) -> np.ndarray:
+        # one task of the variance field: (sum_i row[i] K(x - x_i))^2
+        values = self._convolve(row)
+        np.square(values, out=values)
+        return values
 
     @cached_property
     def mean_field(self) -> RealField:
         """Posterior mean over the grid."""
-        return RealField(self.kernel.grid, self._convolve(self.alpha_weights[None, :])[0])
+        return RealField(self.kernel.grid, self._convolve(self.alpha_weights))
 
     @cached_property
     def _unclamped_variance(self) -> np.ndarray:
@@ -133,9 +161,8 @@ class Posterior:
         n = self.kernel.grid.n
         inverse = solve_triangular(self.chol, np.eye(self.obs.m), lower=True)
         reduction = np.zeros((n, n))
-        for start in range(0, self.obs.m, VARIANCE_CHUNK_ROWS):
-            rows = self._convolve(inverse[start : start + VARIANCE_CHUNK_ROWS])
-            reduction += np.einsum("ijk,ijk->jk", rows, rows)
+        for squared in _ordered_map(self._squared_row, inverse, self.jobs):
+            reduction += squared
         return self.kernel.spec.variance - reduction
 
     @cached_property
@@ -166,17 +193,20 @@ def _factorized_gram(
 
 
 def fit_posterior(
-    kernel: KernelTable, obs: ObservationSet, pairs: np.ndarray | None = None
+    kernel: KernelTable, obs: ObservationSet, pairs: np.ndarray | None = None, jobs: int = 1
 ) -> Posterior:
     """Condition the stationary prior on the observations.
 
     Eager cost is one m x m factorization and solve, O(m^3) time and O(m^2)
     memory; nothing of grid size is built until a field is read.  ``pairs``
-    is ``obs.pair_index(n)`` when the caller has built it already.
+    is ``obs.pair_index(n)`` when the caller has built it already; ``jobs``
+    threads build the variance field (:class:`Posterior`).
     """
     chol, jitter = _factorized_gram(kernel, obs, pairs)
     weights = cho_solve((chol, True), obs.values)
-    return Posterior(kernel=kernel, obs=obs, chol=chol, alpha_weights=weights, jitter=jitter)
+    return Posterior(
+        kernel=kernel, obs=obs, chol=chol, alpha_weights=weights, jitter=jitter, jobs=jobs
+    )
 
 
 def log_marginal_likelihood(
@@ -289,7 +319,10 @@ def greedy_sensor_placement(
 
     Each pick is conditioned on as a pseudo-observation with the observation
     set's noise variance (values are irrelevant for variance updates), by
-    extending a Cholesky factor one rank at a time.  Variances within
+    extending a Cholesky factor one rank at a time; a pick whose conditional
+    variance plus noise is within the tie tolerance of zero (a noiseless
+    point already known) adds no information and leaves the factor as it
+    is.  Variances within
     ``VARIANCE_TIE_RTOL`` (1e-12) times the prior variance of the maximum
     count as tied, and ties break toward the lowest linear grid index.
     """
@@ -314,7 +347,8 @@ def greedy_sensor_placement(
 
     selected: list[tuple[int, int]] = []
     available = np.ones(len(cands), dtype=bool)
-    for k in range(count):
+    rank = m
+    for _ in range(count):
         masked = np.where(available, variances, -np.inf)
         pick = _argmax_lowest_index(masked, cands, n, tol)
         point = (int(cands[pick, 0]), int(cands[pick, 1]))
@@ -322,13 +356,17 @@ def greedy_sensor_placement(
         available[pick] = False
 
         # rank-1 extension of the factor with the picked pseudo-observation
-        rows = half[: m + k]
+        rows = half[:rank]
         ell = rows[:, pick].copy()
         d_sq = sigma2 + noise - float(ell @ ell)
-        if d_sq <= 0.0:
+        if d_sq < -tol:
             raise FactorizationError("pseudo-observation update lost positivity")
+        if d_sq <= tol:
+            # a noiseless pick at a point already known exactly adds nothing
+            continue
         d = np.sqrt(d_sq)
         row_cross = _offset_gather(kernel.values, cands[pick : pick + 1], cands)[0]
-        half[m + k] = (row_cross - ell @ rows) / d
-        variances = variances - half[m + k] ** 2
+        half[rank] = (row_cross - ell @ rows) / d
+        variances = variances - half[rank] ** 2
+        rank += 1
     return selected

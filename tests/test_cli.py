@@ -315,6 +315,20 @@ class TestReconstructCommand:
         mean = read_field_dump(tmp_path / "mean.json")
         assert isinstance(mean, RealField) and mean.grid.n == 32
 
+    def test_dumps_do_not_depend_on_jobs(self, tmp_path):
+        args = ("reconstruct", "--truth", "gaussian", "--n", "32", "--m", "40",
+                "--noise", "0.1", "--seed", "11")
+        for jobs in ("1", "2"):
+            assert run_cli(*args, "--jobs", jobs, "--out", str(tmp_path / jobs)) == 0
+        for name in ("mean.bin", "variance.bin", "credible_summary.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_zero_jobs_creates_nothing(self, tmp_path):
+        out = tmp_path / "out"
+        assert exit_code("reconstruct", "--n", "16", "--m", "10", "--jobs", "0",
+                         "--out", str(out)) == 2
+        assert not out.exists()
+
     def test_reads_field_dump_as_truth(self, tmp_path):
         sample_dir = tmp_path / "sample"
         run_cli("sample", "--n", "32", "--alpha", "1.5", "--seed", "2",

@@ -359,6 +359,14 @@ class TestSweeps:
         sweep_alpha(self._base(grid_n=16, m=12), [0.75, 1.0, 1.5], trials=2)
         assert calls == {"generate_truth": 2, "select_hyperparameter": 2}
 
+    def test_alpha_sweep_builds_each_distinct_table_once(self):
+        # 10 baseline scan tables and 8 power-law tables are more than the
+        # table cache holds; the sweep used to rebuild them for every trial
+        alphas = [0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25]
+        kernels._cached_kernel_table.cache_clear()
+        sweep_alpha(self._base(grid_n=16, m=12), alphas, trials=3, jobs=1)
+        assert kernels._cached_kernel_table.cache_info().misses <= len(RBF_LENGTH_SCALES) + len(alphas)
+
     @pytest.mark.parametrize("grid_n", [15, 6])
     def test_grid_rejected_by_config(self, grid_n):
         with pytest.raises(ValueError, match="grid size must be even and >= 8"):

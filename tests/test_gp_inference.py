@@ -1,6 +1,9 @@
 """Posterior fields vs dense conditioning, evidence, intervals, energy
 variance, and greedy placement."""
 
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -25,6 +28,7 @@ from turbogp import (
     spectral_density,
 )
 from turbogp.experiments import derive_seed, generate_cht_truth, observe
+from turbogp.gp_inference import _ordered_map
 
 
 def _random_obs(grid, m, seed, noise_variance=0.01):
@@ -126,7 +130,6 @@ def _lazy_case(name):
     if name == "empty":
         return np.zeros((0, 2), dtype=int), np.zeros(0), 0.01
     if name == "random":
-        # an odd count leaves a partial batch in the variance loop
         obs = _random_obs(GridSpec(16), 21, seed=32)
         return obs.locations, obs.values, obs.noise_variance
     if name == "duplicates":
@@ -214,6 +217,76 @@ class TestLazyPosterior:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+
+class TestVarianceTasks:
+    """The variance field as one task per row of the inverse Gram factor."""
+
+    def test_bytes_do_not_depend_on_jobs(self):
+        table = build_kernel_table(KernelSpec.cht(1.5), GridSpec(32))
+        obs = _random_obs(table.grid, 60, seed=51)
+        fields = [fit_posterior(table, obs, jobs=jobs).variance_field.values for jobs in (1, 2, 3)]
+        assert np.array_equal(fields[0], fields[1])
+        assert np.array_equal(fields[0], fields[2])
+
+    def test_threads_on_a_cold_table_agree_with_serial(self, cht_table16):
+        # more workers than cores race to fill the table's cached spectrum
+        # under a short switch interval; a lost or mixed row changes the field
+        obs = _random_obs(cht_table16.grid, 40, seed=53)
+        serial = fit_posterior(cht_table16, obs).variance_field.values
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for _ in range(3):
+                cold = KernelTable(cht_table16.grid, cht_table16.values, cht_table16.spec)
+                threaded = fit_posterior(cold, obs, jobs=8).variance_field.values
+                assert np.array_equal(threaded, serial)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("case", ["duplicates", "jittered"])
+    def test_coincident_observations_match_dense_conditioning(self, cht_table16, case, jobs):
+        # coincident rows scatter onto one grid point, where their deltas sum
+        locs, values, noise = _lazy_case(case)
+        post = fit_posterior(cht_table16, ObservationSet(locs, values, noise), jobs=jobs)
+        _, cov = dense_condition(cht_table16, locs, values, noise + post.jitter)
+        variance = np.maximum(np.diag(cov), 0.0)
+        assert np.max(np.abs(post.variance_field.values.ravel() - variance)) <= 1e-12
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_memory_is_a_few_grids_whatever_m(self, jobs):
+        # at most jobs + 1 rows are alive at once; the earlier loop over
+        # two-row batches peaked at 11.6 grids here
+        grid = GridSpec(128)
+        table = build_kernel_table(KernelSpec.cht(1.5), grid)
+        post = fit_posterior(table, _random_obs(grid, 200, seed=52), jobs=jobs)
+        table.spectrum  # the table's own cached transform is not the field's cost
+        tracemalloc.start()
+        try:
+            post.variance_field
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (grid.n**2 * 8) < 11
+
+    def test_ordered_map_keeps_order_and_bounds_tasks_in_flight(self):
+        lock = threading.Lock()
+        started, read, most = [0], [0], [0]
+
+        def task(i):
+            with lock:
+                started[0] += 1
+                most[0] = max(most[0], started[0] - read[0])
+            time.sleep(0.001 * (i % 3))
+            return i * i
+
+        out = []
+        for value in _ordered_map(task, range(20), 2):
+            out.append(value)
+            read[0] += 1
+        assert out == [i * i for i in range(20)]
+        assert most[0] <= 3
 
 
 class TestLogMarginalLikelihood:
@@ -441,6 +514,17 @@ class TestGreedyPlacement:
         assert picks == [(0, 0), (0, 4)]
         assert picks == refit_greedy(table, obs, candidates, 2)
         assert picks == dense_greedy(table, obs.locations, 0.01, candidates, 2)
+
+    def test_noiseless_pick_at_an_observed_point_adds_nothing(self, grid8):
+        # conditioning again on a point known exactly used to fail the rank-1
+        # update's positivity check, where both oracles return picks
+        table = build_kernel_table(KernelSpec.cht(1.5), grid8)
+        obs = ObservationSet(np.array([[1, 1]]), np.zeros(1), 0.0)
+        candidates = [(1, 1), (2, 2)]
+        picks = greedy_sensor_placement(table, obs, candidates, 2)
+        assert picks == [(2, 2), (1, 1)]
+        assert picks == refit_greedy(table, obs, candidates, 2)
+        assert picks == dense_greedy(table, obs.locations, 0.0, candidates, 2)
 
     @given(
         n=st.sampled_from([8, 10, 12, 16]),

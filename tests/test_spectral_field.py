@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import hermitian_defect, mask_sample_gaussian_field
 from turbogp import (
@@ -13,6 +15,7 @@ from turbogp import (
     SpectralField,
     biot_savart,
     biot_savart_spectral,
+    check_admissible,
     curl,
     default_fit_range,
     fit_power_law,
@@ -217,6 +220,23 @@ class TestBiotSavart:
             w_back = curl(u1, u2)
             rel = np.max(np.abs(w_back.values - field.values)) / field.rms()
             assert rel < 1e-10
+
+
+    @given(
+        n=st.sampled_from([8, 10, 16, 32, 64]),
+        alpha=st.floats(0.05, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_curl_inverts_biot_savart_for_admissible_spectra(self, n, alpha, seed):
+        # the example above, over grid sizes, exponents and draws
+        assert check_admissible(alpha, 1.0)
+        grid = GridSpec(n)
+        field = sample_gaussian_field(spectral_density(KernelSpec.cht(alpha), grid), grid, seed)
+        u1_hat, u2_hat = biot_savart_spectral(to_spectral(field))
+        fx, fy = grid.frequency_grids()
+        assert np.all(fx * u1_hat.coeffs + fy * u2_hat.coeffs == 0.0)
+        w_back = curl(to_physical(u1_hat), to_physical(u2_hat))
+        assert np.max(np.abs(w_back.values - field.values)) < 1e-10 * field.rms()
 
 
 class TestRadialSpectrum:
