@@ -20,7 +20,9 @@ import numpy as np
 from .gp_inference import (
     ObservationSet, Posterior, _ordered_map, fit_posterior, select_hyperparameter,
 )
-from .kernels import FAMILY_CHT, KernelSpec, KernelTable, build_kernel_table, spectral_density
+from .kernels import (
+    FAMILY_CHT, KernelSpec, KernelTable, PairIndex, build_kernel_table, spectral_density,
+)
 from .spectral_field import (
     GridSpec,
     PowerLawFit,
@@ -247,14 +249,14 @@ class Trial:
         obs = observe(truth, config.m, config.noise_ratio, derive_seed(config.master_seed, 1))
         return cls(truth, obs)
 
-    def _tune(self, spec: KernelSpec, pairs: Optional[np.ndarray]) -> KernelSpec:
+    def _tune(self, spec: KernelSpec, pairs: Optional[PairIndex]) -> KernelSpec:
         if spec.family != FAMILY_CHT and spec.length_scale is None:
             candidates = [replace(spec, length_scale=ell) for ell in RBF_LENGTH_SCALES]
             return select_hyperparameter(candidates, self.obs, self.truth.grid, pairs)
         return spec
 
     def score(
-        self, spec: KernelSpec, pairs: Optional[np.ndarray] = None, jobs: int = 1
+        self, spec: KernelSpec, pairs: Optional[PairIndex] = None, jobs: int = 1
     ) -> tuple[KernelScore, Posterior]:
         """Resolve, fit and score ``spec``; returns its score and posterior.
 
@@ -264,7 +266,7 @@ class Trial:
         return self.score_table(table, pairs, jobs)
 
     def score_table(
-        self, table: KernelTable, pairs: Optional[np.ndarray] = None, jobs: int = 1
+        self, table: KernelTable, pairs: Optional[PairIndex] = None, jobs: int = 1
     ) -> tuple[KernelScore, Posterior]:
         """Fit and score the prior of a built ``table``, as :meth:`score` does."""
         post = fit_posterior(table, self.obs, pairs, jobs)

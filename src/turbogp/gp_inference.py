@@ -6,7 +6,10 @@ circular convolution of the weighted observation deltas with the kernel
 table (one ``rfft2``/``irfft2`` pair) and the variance field is a sum of m
 squared such convolutions, one per row of the inverse Gram factor, which
 :attr:`Posterior.jobs` threads compute and the calling thread adds up in row
-order; no ``m x n^2`` cross-covariance is formed.
+order; no ``m x n^2`` cross-covariance is formed.  Greedy sensor
+placement extends that sum by one row per pick, convolved on the coarsest
+sublattice holding its candidates and read there, and keeps no
+``count x candidates`` block.
 A fitted posterior holds only the ``m x m`` Gram factor and the weights;
 fields are computed when first read.  An empty observation set takes the
 same path: its 0 x 0 factor leaves the prior.
@@ -33,9 +36,9 @@ from .kernels import (
     FactorizationError,
     KernelSpec,
     KernelTable,
+    PairIndex,
     _check_on_grid,
     _offset_gather,
-    _offset_index,
     build_kernel_table,
     gram_matrix,
     robust_cholesky,
@@ -100,15 +103,29 @@ class ObservationSet:
     def m(self) -> int:
         return len(self.values)
 
-    def pair_index(self, n: int) -> np.ndarray:
-        """Flat index of every location pair's offset on an ``n`` grid.
+    def pair_index(self, n: int) -> PairIndex:
+        """The locations' :class:`~turbogp.kernels.PairIndex` on an ``n`` grid.
 
         Every Gram matrix on this set gathers through it (the ``pairs`` of
         :func:`~turbogp.kernels.gram_matrix`); a caller that builds several
-        builds it once.  It holds m^2 integers (80 KB at m = 100).
+        builds it once, and each gather on this set takes it unchecked.
         """
-        _check_on_grid(self.locations, n, "locations")
-        return _offset_index(self.locations, self.locations, n)
+        return PairIndex.of(self.locations, n)
+
+
+def _convolve_deltas(spectrum: np.ndarray, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_i weights[i] K(x - x_i)`` at every x of an n x n torus.
+
+    ``spectrum`` is the ``rfft2`` of K's table and ``points`` holds the
+    ``(k, 2)`` grid indices of the x_i; np.bincount sums the deltas of
+    coincident points.
+    """
+    n = spectrum.shape[0]
+    deltas = np.bincount(points[:, 0] * n + points[:, 1], weights=weights, minlength=n * n)
+    transformed = rfft2(deltas.reshape(n, n))
+    del deltas  # one grid less at the peak, which the inverse transform sets
+    transformed *= spectrum
+    return irfft2(transformed, s=(n, n), overwrite_x=True)
 
 
 @dataclass(frozen=True)
@@ -134,15 +151,7 @@ class Posterior:
     jobs: int = field(default=1, compare=False)
 
     def _convolve(self, weights: np.ndarray) -> np.ndarray:
-        # sum_i weights[i] K(x - x_i) over the grid; np.bincount sums the
-        # deltas of coincident observations
-        n = self.kernel.grid.n
-        locs = self.obs.locations
-        deltas = np.bincount(locs[:, 0] * n + locs[:, 1], weights=weights, minlength=n * n)
-        spectrum = rfft2(deltas.reshape(n, n))
-        del deltas  # one grid less at the peak, which the inverse transform sets
-        spectrum *= self.kernel.spectrum
-        return irfft2(spectrum, s=(n, n), overwrite_x=True)
+        return _convolve_deltas(self.kernel.spectrum, self.obs.locations, weights)
 
     def _squared_row(self, row: np.ndarray) -> np.ndarray:
         # one task of the variance field: (sum_i row[i] K(x - x_i))^2
@@ -185,7 +194,7 @@ class Posterior:
 
 
 def _factorized_gram(
-    kernel: KernelTable, obs: ObservationSet, pairs: np.ndarray | None = None
+    kernel: KernelTable, obs: ObservationSet, pairs: PairIndex | None = None
 ) -> tuple[np.ndarray, float]:
     g = gram_matrix(kernel, obs.locations, pairs=pairs)
     g[np.diag_indices(obs.m)] += obs.noise_variance
@@ -193,7 +202,7 @@ def _factorized_gram(
 
 
 def fit_posterior(
-    kernel: KernelTable, obs: ObservationSet, pairs: np.ndarray | None = None, jobs: int = 1
+    kernel: KernelTable, obs: ObservationSet, pairs: PairIndex | None = None, jobs: int = 1
 ) -> Posterior:
     """Condition the stationary prior on the observations.
 
@@ -210,7 +219,7 @@ def fit_posterior(
 
 
 def log_marginal_likelihood(
-    kernel: KernelTable, obs: ObservationSet, pairs: np.ndarray | None = None
+    kernel: KernelTable, obs: ObservationSet, pairs: PairIndex | None = None
 ) -> float:
     """Gaussian evidence of the observations under the prior plus noise.
 
@@ -229,7 +238,7 @@ def select_hyperparameter(
     candidates: Sequence[KernelSpec],
     obs: ObservationSet,
     grid: GridSpec,
-    pairs: np.ndarray | None = None,
+    pairs: PairIndex | None = None,
 ) -> KernelSpec:
     """Candidate with maximal evidence; ties keep the first occurrence.
 
@@ -293,8 +302,8 @@ def energy_variance(post: Posterior) -> float:
     t2 = _power_table(grid, dens, 2)
     t3 = _power_table(grid, dens, 3)
     pairs = post.obs.pair_index(grid.n)
-    t2_pairs = np.take(t2, pairs)
-    t3_pairs = np.take(t3, pairs)
+    t2_pairs = np.take(t2, pairs.flat)
+    t3_pairs = np.take(t3, pairs.flat)
     cross = float(np.trace(cho_solve((post.chol, True), t3_pairs)))
     y = cho_solve((post.chol, True), t2_pairs)
     rank_m = float(np.sum(y * y.T))
@@ -318,13 +327,26 @@ def greedy_sensor_placement(
     """Pick ``count`` locations by repeatedly maximizing posterior variance.
 
     Each pick is conditioned on as a pseudo-observation with the observation
-    set's noise variance (values are irrelevant for variance updates), by
-    extending a Cholesky factor one rank at a time; a pick whose conditional
-    variance plus noise is within the tie tolerance of zero (a noiseless
-    point already known) adds no information and leaves the factor as it
-    is.  Variances within
+    set's noise variance (values are irrelevant for variance updates); a
+    pick whose conditional variance plus noise is within the tie tolerance
+    of zero (a noiseless point already known) adds no information and
+    leaves the conditioned set as it is.  Variances within
     ``VARIANCE_TIE_RTOL`` (1e-12) times the prior variance of the maximum
     count as tied, and ties break toward the lowest linear grid index.
+
+    The candidates start at the observations' posterior variance: sigma^2
+    minus the squared convolutions of the rows of L^-1 with the kernel, for
+    the Cholesky factor L of the noisy Gram matrix (:class:`Posterior`).  A
+    pick p extends L by a row ``(l, d)`` and L^-1 by the row ``(-w, 1) / d``
+    with ``w = L^-T l``, and lowers every candidate c by the square of that
+    row's convolution, ``(k(c - p) - sum_q w_q k(c - q)) / d`` over the
+    conditioned points q: one FFT convolution of ``rank + 1`` weighted
+    deltas, read at the candidates.  It runs on the coarsest sublattice that
+    holds every candidate and observation, of step ``gcd(n, every
+    coordinate offset)``, where the kernel is the table sampled every
+    ``step`` points.  Memory is O(n^2 + (m + count)^2), against
+    O(count x candidates) when the rows of L^-1 K(points, candidates) were
+    kept; time is one convolution on the sublattice per pick.
     """
     cands = np.asarray(candidates, dtype=np.int64).reshape(-1, 2)
     if count < 1:
@@ -338,26 +360,38 @@ def greedy_sensor_placement(
     tol = VARIANCE_TIE_RTOL * sigma2
     noise = obs.noise_variance
     m = obs.m
-    # rows of L^-1 K(X, candidates): one per observation, then one per pick
-    half = np.empty((m + count, len(cands)))
-    chol, _ = _factorized_gram(kernel, obs)
-    cross = _offset_gather(kernel.values, obs.locations, cands)
-    half[:m] = solve_triangular(chol, cross, lower=True)
-    variances = sigma2 - np.einsum("ij,ij->j", half[:m], half[:m])
+    chol, jitter = _factorized_gram(kernel, obs)
+    weights = cho_solve((chol, True), obs.values)
+    variances = Posterior(kernel, obs, chol, weights, jitter)._unclamped_variance[
+        cands[:, 0], cands[:, 1]
+    ]
+    inverse = solve_triangular(chol, np.eye(m), lower=True)
+
+    # every point lies on the sublattice cands[0] + step Z^2, a torus of side
+    # n / step whose kernel is the table sampled every step points
+    cand_off = (cands - cands[0]) % n
+    obs_off = (obs.locations - cands[0]) % n
+    step = math.gcd(n, *(int(np.gcd.reduce(off, axis=None)) for off in (cand_off, obs_off)))
+    side = n // step
+    cand_flat = (cand_off[:, 0] // step) * side + cand_off[:, 1] // step
+    del cand_off
+    table = np.ascontiguousarray(kernel.values[::step, ::step])
+    spectrum = rfft2(table)
+    # torus positions of the conditioned points: the observations, then
+    # each pick that entered the factor
+    nodes = np.empty((m + count, 2), dtype=np.int64)
+    nodes[:m] = obs_off // step
 
     selected: list[tuple[int, int]] = []
-    available = np.ones(len(cands), dtype=bool)
     rank = m
     for _ in range(count):
-        masked = np.where(available, variances, -np.inf)
-        pick = _argmax_lowest_index(masked, cands, n, tol)
-        point = (int(cands[pick, 0]), int(cands[pick, 1]))
-        selected.append(point)
-        available[pick] = False
+        pick = _argmax_lowest_index(variances, cands, n, tol)
+        selected.append((int(cands[pick, 0]), int(cands[pick, 1])))
+        variances[pick] = -np.inf  # never picked again
+        nodes[rank] = divmod(int(cand_flat[pick]), side)
 
-        # rank-1 extension of the factor with the picked pseudo-observation
-        rows = half[:rank]
-        ell = rows[:, pick].copy()
+        # the factor's new row (ell, d), then the inverse factor's
+        ell = inverse @ _offset_gather(table, nodes[:rank], nodes[rank : rank + 1])[:, 0]
         d_sq = sigma2 + noise - float(ell @ ell)
         if d_sq < -tol:
             raise FactorizationError("pseudo-observation update lost positivity")
@@ -365,8 +399,13 @@ def greedy_sensor_placement(
             # a noiseless pick at a point already known exactly adds nothing
             continue
         d = np.sqrt(d_sq)
-        row_cross = _offset_gather(kernel.values, cands[pick : pick + 1], cands)[0]
-        half[rank] = (row_cross - ell @ rows) / d
-        variances = variances - half[rank] ** 2
+        grown = np.zeros((rank + 1, rank + 1))
+        grown[:rank, :rank] = inverse
+        grown[rank, :rank] = -(ell @ inverse) / d
+        grown[rank, rank] = 1.0 / d
+        inverse = grown
         rank += 1
+        row = _convolve_deltas(spectrum, nodes[:rank], inverse[-1]).reshape(-1)[cand_flat]
+        np.square(row, out=row)
+        variances -= row
     return selected

@@ -227,29 +227,54 @@ def _cached_kernel_table(spec: KernelSpec, grid: GridSpec) -> KernelTable:
     return KernelTable(grid=grid, values=_symmetrize_table(field.values), spec=spec)
 
 
-def gram_matrix(table: KernelTable, locations, pairs: np.ndarray | None = None) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class PairIndex:
+    """Flat index into an ``n x n`` offset table of ``x_i - x_j`` for every pair of ``locations``.
+
+    Built by :meth:`of`, it keeps the locations it was built from as a
+    read-only array that owns its data, so they cannot change and
+    :func:`gram_matrix` handed those very locations needs no check of the
+    index.  It holds m^2 integers (80 KB at m = 100).
+    """
+
+    locations: np.ndarray
+    n: int
+    flat: np.ndarray
+
+    @classmethod
+    def of(cls, locations, n: int) -> "PairIndex":
+        """The index of ``(m, 2)`` grid ``locations``; any other array than a
+        read-only one that owns its data (an ``ObservationSet``'s) is copied."""
+        locs = np.asarray(locations, dtype=np.int64)
+        if locs.flags.writeable or not locs.flags.owndata:
+            locs = locs.copy()
+            locs.setflags(write=False)
+        _check_on_grid(locs, n, "locations")
+        return cls(locs, n, _offset_index(locs, locs, n))
+
+
+def gram_matrix(table: KernelTable, locations, pairs: PairIndex | None = None) -> np.ndarray:
     """Kernel matrix between grid locations via periodic table lookups.
 
-    The lookups go through a flat pair index that depends only on the
-    locations and the grid size.  A caller that gathers several tables on
-    one location set builds it once (``ObservationSet.pair_index``) and
-    passes it as ``pairs``; without it the index is built here.  An index of
-    other locations or of another grid size is rejected.
+    The lookups go through the locations' :class:`PairIndex` on the table's
+    grid.  A caller that gathers several tables on one location set builds
+    it once (``ObservationSet.pair_index``) and passes it as ``pairs``;
+    without it the index is built here.  An index handed the very locations
+    it was built from is used as it is; against any other locations it is
+    checked, and one of other locations or of another grid size is rejected.
     """
     n = table.grid.n
+    if pairs is not None and pairs.locations is locations and pairs.n == n:
+        return np.take(table.values, pairs.flat)
     locs = np.asarray(locations, dtype=np.int64)
     if locs.ndim != 2 or locs.shape[1] != 2:
         raise ValueError("locations must be an (m, 2) array of grid indices")
     _check_on_grid(locs, n, "locations")
     if pairs is None:
-        pairs = _offset_index(locs, locs, n)
-    elif pairs.shape != (len(locs), len(locs)) or not np.array_equal(
-        pairs[:1], _offset_index(locs[:1], locs, n)
-    ):
-        # row 0 holds x_0 - x_j for every j and every other entry is the
-        # difference of two of those, so on one grid row 0 fixes the index
-        raise ValueError("pairs must be the (m, m) pair index of the locations on this grid")
-    return np.take(table.values, pairs)
+        return np.take(table.values, _offset_index(locs, locs, n))
+    if pairs.n != n or not np.array_equal(pairs.locations, locs):
+        raise ValueError("pairs must be the pair index of the locations on this grid")
+    return np.take(table.values, pairs.flat)
 
 
 def _check_on_grid(points: np.ndarray, n: int, what: str) -> None:

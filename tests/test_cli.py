@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from conftest import dense_condition, dense_greedy
 from turbogp.cli import COMMANDS, main
 from turbogp.io import read_field_dump, write_csv, write_field_dump, write_json
-from turbogp import GridSpec, RealField
+from turbogp import GridSpec, KernelSpec, RealField, build_kernel_table
 
 
 def run_cli(*argv):
@@ -289,6 +290,21 @@ class TestPlaceSensorsCommand:
         assert len(lines) == 5
         # first pick is the tie-broken lowest linear index with empty history
         assert lines[1].split(",")[:3] == ["0", "0", "0"]
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_picks_and_variances_match_dense_conditioning(self, tmp_path, stride):
+        assert run_cli("place-sensors", "--n", "32", "--kernel", "cht", "--alpha", "1.5",
+                       "--count", "6", "--candidate-stride", str(stride),
+                       "--out", str(tmp_path)) == 0
+        rows = np.loadtxt(tmp_path / "sensors.csv", delimiter=",", skiprows=1)
+        picks = [(int(ix), int(iy)) for ix, iy in rows[:, 1:3]]
+        table = build_kernel_table(KernelSpec.cht(1.5), GridSpec(32))
+        axis = np.arange(0, 32, stride)
+        candidates = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        assert picks == dense_greedy(table, np.zeros((0, 2)), 0.01, candidates, 6)
+        for order, (ix, iy) in enumerate(picks):
+            _, cov = dense_condition(table, picks[:order], np.zeros(order), 0.01)
+            assert abs(rows[order, 3] - cov[ix * 32 + iy, ix * 32 + iy]) <= 1e-12
 
     def test_bad_stride_rejected(self, tmp_path):
         assert run_cli("place-sensors", "--n", "16", "--candidate-stride", "3",

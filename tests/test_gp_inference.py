@@ -533,21 +533,65 @@ class TestGreedyPlacement:
         noise=st.sampled_from([1e-4, 0.01, 0.1]),
         pool=st.lists(_POINT, min_size=1, max_size=24),
         count=st.integers(1, 4),
+        stride=st.sampled_from([1, 2, 4]),
+        origin=_POINT,
+        observed_on_lattice=st.booleans(),
     )
     @example(
         n=8, spec=KernelSpec.cht(1.5), observed=[(6, 6)], noise=0.01,
         pool=[(0, 0), (0, 4), (2, 6)], count=2,
+        stride=1, origin=(0, 0), observed_on_lattice=True,
     )
-    def test_fast_matches_refit_and_dense(self, n, spec, observed, noise, pool, count):
-        # points are drawn on the largest grid and wrapped onto this one
+    @example(
+        n=16, spec=KernelSpec.cht(1.5), observed=[(1, 3)], noise=0.01,
+        pool=[(a, b) for a in range(4) for b in range(4)], count=4,
+        stride=4, origin=(3, 2), observed_on_lattice=True,
+    )
+    @example(
+        n=16, spec=KernelSpec.rbf(0.5), observed=[], noise=1e-4,
+        pool=[(a, b) for a in range(8) for b in range(8)], count=4,
+        stride=2, origin=(1, 0), observed_on_lattice=False,
+    )
+    def test_fast_matches_refit_and_dense(
+        self, n, spec, observed, noise, pool, count, stride, origin, observed_on_lattice
+    ):
+        # points are drawn on the largest grid and mapped onto the lattice
+        # origin + stride Z^2 of this one; the pool lies on it, and so do the
+        # observations or, off it, one more observation next to the origin
+        # makes the greedy sublattice the whole grid
+        def on_lattice(points):
+            return [((origin[0] + stride * a) % n, (origin[1] + stride * b) % n) for a, b in points]
+
         table = build_kernel_table(spec, GridSpec(n))
+        if observed_on_lattice:
+            observed = on_lattice(observed)
+        else:
+            observed = [*observed, (origin[0] + 1, origin[1])]
         locs = np.array(observed, dtype=np.int64).reshape(-1, 2) % n
         obs = ObservationSet(locs, np.zeros(len(locs)), noise)
-        candidates = list(dict.fromkeys((a % n, b % n) for a, b in pool))
+        candidates = list(dict.fromkeys(on_lattice(pool)))
         count = min(count, len(candidates))
         fast = greedy_sensor_placement(table, obs, candidates, count)
         assert fast == refit_greedy(table, obs, candidates, count)
         assert fast == dense_greedy(table, locs, noise, candidates, count)
+
+    def test_memory_does_not_grow_with_count(self, grid64):
+        # the rows of L^-1 K(points, candidates) are not kept: 16 and 64 picks
+        # from the whole grid used to peak at 22 and 70 grids
+        table = build_kernel_table(KernelSpec.cht(1.5), grid64)
+        obs = ObservationSet(np.zeros((0, 2), dtype=np.int64), np.zeros(0), 0.01)
+        axis = np.arange(grid64.n)
+        candidates = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        peaks = []
+        for count in (16, 64):
+            tracemalloc.start()
+            try:
+                greedy_sensor_placement(table, obs, candidates, count)
+                peaks.append(tracemalloc.get_traced_memory()[1] / (grid64.n**2 * 8))
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2
+        assert max(peaks) < 16
 
     def test_contraction_with_observation_count(self):
         grid = GridSpec(64)

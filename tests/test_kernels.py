@@ -21,7 +21,7 @@ from turbogp import (
     spectral_density,
     velocity_spectral_covariance,
 )
-from turbogp.kernels import _offset_gather, raw_density
+from turbogp.kernels import PairIndex, _offset_gather, raw_density
 
 
 class TestKernelSpec:
@@ -276,11 +276,14 @@ class TestSharedInvariants:
             tables = [build_kernel_table(spec, grid)
                       for spec in (KernelSpec.cht(1.5), KernelSpec.rbf(0.3))]
             for points in (locs, permuted):
-                pairs = ObservationSet(points, np.zeros(len(points)), 0.1).pair_index(grid_n)
+                obs = ObservationSet(points, np.zeros(len(points)), 0.1)
+                pairs = obs.pair_index(grid_n)
                 da = (points[:, 0][:, None] - points[:, 0][None, :]) % grid_n
                 db = (points[:, 1][:, None] - points[:, 1][None, :]) % grid_n
                 for table in tables:
                     direct = table.values[da, db]
+                    # the set's own locations take the index unchecked, equal ones check it
+                    assert np.array_equal(gram_matrix(table, obs.locations, pairs=pairs), direct)
                     assert np.array_equal(gram_matrix(table, points, pairs=pairs), direct)
                     assert np.array_equal(gram_matrix(table, points), direct)
                     assert np.array_equal(_offset_gather(table.values, points, points), direct)
@@ -293,6 +296,17 @@ class TestSharedInvariants:
             gram_matrix(table, locs, pairs=pairs)
         with pytest.raises(ValueError, match="on-grid"):
             ObservationSet(locs, np.zeros(3), 0.1).pair_index(8)
+
+    def test_pair_index_keeps_its_own_copy_of_writable_locations(self, grid16):
+        # the index of a writable array cannot follow a later write to it
+        table = build_kernel_table(KernelSpec.cht(1.5), grid16)
+        locs = np.array([[0, 0], [3, 5], [15, 2]])
+        pairs = PairIndex.of(locs, 16)
+        assert pairs.locations is not locs and not pairs.locations.flags.writeable
+        assert np.array_equal(gram_matrix(table, locs, pairs=pairs), gram_matrix(table, locs))
+        locs[1] = (4, 4)
+        with pytest.raises(ValueError, match="pair index"):
+            gram_matrix(table, locs, pairs=pairs)
 
     def test_pair_index_of_another_grid_or_same_size_set_rejected(self):
         # either used to be gathered silently, wrong by up to about 1
