@@ -12,6 +12,13 @@ are appended to every command.  Handlers take the resolved parameters and
 call the library for every computation; :func:`main` times the run, fills in
 the seed, writes the manifest and maps errors to exit codes.
 
+:func:`main` runs the command with numpy's and scipy's vendored OpenBLAS on
+one thread each, so ``--jobs`` is the only parallelism and the output bytes
+do not depend on the core count; each library's previous count is restored
+when the command ends.  Where no such library is found (another BLAS build)
+the command runs unpinned.  The manifest's ``blas_threads`` records the
+count in effect.
+
 A failing command writes nothing.  ``--out`` is created with its first file,
 which is written after the computation, so an unwritable ``--out`` is
 reported (exit 2) once the result is ready.
@@ -24,6 +31,8 @@ numerical failure (Gram factorization).
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import math
 import os
@@ -33,6 +42,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .experiments import (
@@ -112,7 +122,11 @@ _M = Param("m", int, 100, help="observations per trial")
 _ALPHA_TRUE = Param("alpha_true", _finite, 1.5, help="exponent of the gaussian truth")
 _NOISE = Param("noise", _finite, 0.1, help="noise std as a fraction of the truth's RMS")
 _TRIALS = Param("trials", _count, 20, help="independent trials")
-_GAMMA = Param("gamma", _finite, 1.0, help="dissipation exponent, in (2/3, 1]")
+_GAMMA = Param(
+    "gamma", _finite, 1.0,
+    help="dissipation exponent, in (2/3, 1]; only checks that alpha is admissible, "
+    "since the prior depends on alpha alone",
+)
 _JOBS = Param("jobs", _count, os.cpu_count() or 1, help="worker threads, one per core unless set")
 _TRUTH = Param("truth", str, TRUTH_GAUSSIAN, TRUTH_KINDS, "kind of ground-truth field")
 _KERNEL = Param("kernel", str, FAMILY_CHT, FAMILIES, "prior kernel family")
@@ -499,16 +513,62 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: numpy's and scipy's vendored OpenBLAS, with the suffix of their thread-count symbols.
+_VENDORED_OPENBLAS = ((np, "64_"), (scipy, ""))
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable | None], ...]:
+    """``(get, set)`` thread-count functions of each vendored OpenBLAS, loaded once.
+
+    A library without the ``scipy_openblas`` getter is left out; one without
+    the setter has ``set`` None and is read but not pinned.
+    """
+    controls = []
+    for package, suffix in _VENDORED_OPENBLAS:
+        libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            if get is None:
+                continue
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if set_ is not None:
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+            controls.append((get, set_))
+    return tuple(controls)
+
+
+def _pin_one_blas_thread() -> tuple[list[tuple[Callable, int]], int | None]:
+    """Set every vendored OpenBLAS to one thread.
+
+    Returns each setter called with the count to restore, and the largest
+    count a library then reports (1 unless a library cannot be set), or
+    None when no library is found.
+    """
+    controls = _openblas_thread_controls()
+    restore = [(set_, get()) for get, set_ in controls if set_ is not None]
+    for set_, _ in restore:
+        set_(1)
+    return restore, max((get() for get, _ in controls), default=None)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     command = COMMANDS[args.command]
+    restore, blas_threads = _pin_one_blas_thread()
     try:
         params = _resolve(args, command.params)
         params["seed"] = _coerce_seed(params["seed"])
         command.handler(params)
         write_manifest(
-            params["out"], args.command, params, params["seed"], time.perf_counter() - start
+            params["out"], args.command, params, params["seed"],
+            time.perf_counter() - start, blas_threads,
         )
     except (UsageError, ValueError) as exc:
         print(f"turbogp: error: {exc}", file=sys.stderr)
@@ -519,6 +579,9 @@ def main(argv=None) -> int:
     except FactorizationError as exc:
         print(f"turbogp: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        for set_, count in restore:
+            set_(count)
     return EXIT_OK
 
 

@@ -310,14 +310,6 @@ def energy_variance(post: Posterior) -> float:
     return max(0.25 * (prior_term - 2.0 * cross + rank_m), 0.0)
 
 
-def _argmax_lowest_index(
-    variances: np.ndarray, candidates: np.ndarray, n: int, tol: float
-) -> int:
-    best = np.flatnonzero(variances >= variances.max() - tol)
-    linear = candidates[best, 0] * n + candidates[best, 1]
-    return int(best[np.argmin(linear)])
-
-
 def greedy_sensor_placement(
     kernel: KernelTable,
     obs: ObservationSet,
@@ -356,25 +348,33 @@ def greedy_sensor_placement(
     n = kernel.grid.n
     _check_on_grid(cands, n, "candidates")
 
+    # the candidates' linear grid indices in increasing order, so the first of
+    # several tied variances is at the lowest index; only their torus
+    # positions outlive the setup, and each pick is mapped back from its own
+    linear = np.sort(cands[:, 0] * n + cands[:, 1])
+    del cands
+
     sigma2 = kernel.spec.variance
     tol = VARIANCE_TIE_RTOL * sigma2
     noise = obs.noise_variance
     m = obs.m
     chol, jitter = _factorized_gram(kernel, obs)
     weights = cho_solve((chol, True), obs.values)
-    variances = Posterior(kernel, obs, chol, weights, jitter)._unclamped_variance[
-        cands[:, 0], cands[:, 1]
-    ]
+    variances = Posterior(kernel, obs, chol, weights, jitter)._unclamped_variance.reshape(-1)[linear]
     inverse = solve_triangular(chol, np.eye(m), lower=True)
 
-    # every point lies on the sublattice cands[0] + step Z^2, a torus of side
+    # every point lies on the sublattice origin + step Z^2, a torus of side
     # n / step whose kernel is the table sampled every step points
-    cand_off = (cands - cands[0]) % n
-    obs_off = (obs.locations - cands[0]) % n
-    step = math.gcd(n, *(int(np.gcd.reduce(off, axis=None)) for off in (cand_off, obs_off)))
+    origin = divmod(int(linear[0]), n)
+    rows, cols = np.divmod(linear, n)
+    del linear
+    rows = (rows - origin[0]) % n
+    cols = (cols - origin[1]) % n
+    obs_off = (obs.locations - origin) % n
+    step = math.gcd(n, *(int(np.gcd.reduce(off, axis=None)) for off in (rows, cols, obs_off)))
     side = n // step
-    cand_flat = (cand_off[:, 0] // step) * side + cand_off[:, 1] // step
-    del cand_off
+    cand_flat = (rows // step) * side + cols // step
+    del rows, cols
     table = np.ascontiguousarray(kernel.values[::step, ::step])
     spectrum = rfft2(table)
     # torus positions of the conditioned points: the observations, then
@@ -385,10 +385,11 @@ def greedy_sensor_placement(
     selected: list[tuple[int, int]] = []
     rank = m
     for _ in range(count):
-        pick = _argmax_lowest_index(variances, cands, n, tol)
-        selected.append((int(cands[pick, 0]), int(cands[pick, 1])))
+        pick = int(np.argmax(variances >= variances.max() - tol))
         variances[pick] = -np.inf  # never picked again
-        nodes[rank] = divmod(int(cand_flat[pick]), side)
+        torus = divmod(int(cand_flat[pick]), side)
+        nodes[rank] = torus
+        selected.append(tuple((start + step * t) % n for start, t in zip(origin, torus)))
 
         # the factor's new row (ell, d), then the inverse factor's
         ell = inverse @ _offset_gather(table, nodes[:rank], nodes[rank : rank + 1])[:, 0]

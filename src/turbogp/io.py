@@ -89,7 +89,9 @@ def write_manifest(
     config_echo: dict,
     master_seed: int,
     wall_time_s: float,
+    blas_threads: Optional[int],
 ) -> None:
+    """``manifest.json``; ``blas_threads`` is the OpenBLAS thread count in effect, None if unknown."""
     write_json(Path(outdir) / "manifest.json", {
         "command": command,
         "config_echo": config_echo,
@@ -97,4 +99,5 @@ def write_manifest(
         "tool_version": __version__,
         "csv_schema_version": CSV_SCHEMA_VERSION,
         "wall_time_s": wall_time_s,
+        "blas_threads": blas_threads,
     })

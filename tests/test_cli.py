@@ -2,11 +2,17 @@
 exit-code discipline."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import turbogp
 from conftest import dense_condition, dense_greedy
+from turbogp import cli
 from turbogp.cli import COMMANDS, main
 from turbogp.io import read_field_dump, write_csv, write_field_dump, write_json
 from turbogp import GridSpec, KernelSpec, RealField, build_kernel_table
@@ -129,6 +135,9 @@ class TestSampleCommand:
         assert manifest["master_seed"] == 9
         assert manifest["config_echo"]["n"] == 32
         assert "tool_version" in manifest and "wall_time_s" in manifest
+        # the vendored OpenBLAS builds export both the getter and the setter
+        pinned = 1 if cli._openblas_thread_controls() else None
+        assert manifest["blas_threads"] == pinned
 
 
 class TestValidateSpectrumCommand:
@@ -424,6 +433,87 @@ _FLOAT_CASES = [
     ("reconstruct", "length_scale", ("--n", "16", "--m", "10", "--kernel", "rbf")),
     ("reconstruct", "nu", ("--n", "16", "--m", "10", "--kernel", "matern")),
 ]
+
+
+class FakeBlas:
+    """A BLAS thread count with the getter and setter of the OpenBLAS controls."""
+
+    def __init__(self, threads):
+        self.threads = threads
+
+    def get(self):
+        return self.threads
+
+    def set(self, threads):
+        self.threads = threads
+
+
+class TestBlasThreads:
+    """``main`` runs each command with OpenBLAS on one thread and then restores it."""
+
+    SAMPLE = ("sample", "--n", "16", "--seed", "1")
+
+    def manifest(self, out):
+        return json.loads((out / "manifest.json").read_text())
+
+    def test_outputs_do_not_depend_on_openblas_threads(self, tmp_path):
+        # m = 200 takes the Cholesky and L^-1 through threaded BLAS kernels,
+        # whose rounding follows the thread count unless the command pins it
+        env = dict(os.environ, PYTHONPATH=str(Path(turbogp.__file__).parent.parent))
+        for threads in ("1", "2"):
+            subprocess.run(
+                [sys.executable, "-m", "turbogp.cli", "reconstruct", "--truth", "gaussian",
+                 "--n", "64", "--m", "200", "--noise", "0.1", "--seed", "1",
+                 "--out", str(tmp_path / threads)],
+                env={**env, "OPENBLAS_NUM_THREADS": threads}, check=True, timeout=300,
+            )
+        for name in ("mean.bin", "variance.bin", "credible_summary.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_main_restores_the_callers_thread_count(self, tmp_path):
+        controls = [(get, set_) for get, set_ in cli._openblas_thread_controls() if set_]
+        if not controls:
+            pytest.skip("no vendored OpenBLAS whose thread count can be set")
+        before = [get() for get, _ in controls]
+        try:
+            for _, set_ in controls:
+                set_(2)
+            assert run_cli(*self.SAMPLE, "--out", str(tmp_path)) == 0
+            assert [get() for get, _ in controls] == [2] * len(controls)
+        finally:
+            for (_, set_), threads in zip(controls, before):
+                set_(threads)
+        assert self.manifest(tmp_path)["blas_threads"] == 1
+
+    def test_no_openblas_found_runs_unpinned(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_openblas_thread_controls", lambda: ())
+        assert run_cli(*self.SAMPLE, "--out", str(tmp_path)) == 0
+        assert self.manifest(tmp_path)["blas_threads"] is None
+
+    def test_pinned_for_the_command_and_restored_after(self, tmp_path, monkeypatch):
+        blas = FakeBlas(3)
+        seen = []
+        monkeypatch.setattr(cli, "_openblas_thread_controls", lambda: ((blas.get, blas.set),))
+        monkeypatch.setitem(COMMANDS, "sample", COMMANDS["sample"]._replace(
+            handler=lambda params: seen.append(blas.threads)))
+        assert run_cli(*self.SAMPLE, "--out", str(tmp_path)) == 0
+        assert seen == [1] and blas.threads == 3
+        assert self.manifest(tmp_path)["blas_threads"] == 1
+
+    def test_restored_after_a_failed_command(self, tmp_path, monkeypatch):
+        blas = FakeBlas(3)
+        monkeypatch.setattr(cli, "_openblas_thread_controls", lambda: ((blas.get, blas.set),))
+        assert run_cli("sample", "--n", "16", "--alpha", "-1", "--out", str(tmp_path)) == 2
+        assert blas.threads == 3
+
+    def test_a_library_without_a_setter_is_read_not_pinned(self, tmp_path, monkeypatch):
+        settable, readable = FakeBlas(3), FakeBlas(4)
+        monkeypatch.setattr(cli, "_openblas_thread_controls", lambda: (
+            (settable.get, settable.set), (readable.get, None),
+        ))
+        assert run_cli(*self.SAMPLE, "--out", str(tmp_path)) == 0
+        assert (settable.threads, readable.threads) == (3, 4)
+        assert self.manifest(tmp_path)["blas_threads"] == 4
 
 
 class TestNonFiniteFloats:
