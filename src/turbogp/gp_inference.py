@@ -3,13 +3,14 @@ credible intervals, energy-functional variance, and greedy sensor placement.
 
 Every prior is a stationary kernel on the torus, so the posterior mean is a
 circular convolution of the weighted observation deltas with the kernel
-table (one ``rfft2``/``irfft2`` pair) and the variance field is a sum of m
-squared such convolutions, one per row of the inverse Gram factor, which
-:attr:`Posterior.jobs` threads compute and the calling thread adds up in row
-order; no ``m x n^2`` cross-covariance is formed.  Greedy sensor
-placement extends that sum by one row per pick, convolved on the coarsest
-sublattice holding its candidates and read there, and keeps no
-``count x candidates`` block.
+table (one forward and one inverse real FFT) and the variance field is a sum
+of m squared such convolutions, one per row of the inverse Gram factor L^-1.
+Those rows are solved a block at a time, so L^-1 is never held whole;
+:attr:`Posterior.jobs` threads convolve them in reused buffers and the
+calling thread adds the squares up in row order.  No ``m x n^2``
+cross-covariance is formed.  Greedy sensor placement runs the same sum on
+the coarsest sublattice holding its candidates, extends it by one row per
+pick, and keeps no ``count x candidates`` block.
 A fitted posterior holds only the ``m x m`` Gram factor and the weights;
 fields are computed when first read.  An empty observation set takes the
 same path: its 0 x 0 factor leaves the prior.
@@ -21,14 +22,14 @@ point), so traces and norms are grid means rather than physical integrals.
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, Sized
 
 import numpy as np
-from scipy.fft import irfft2, rfft2
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.stats import norm as _std_normal
 
@@ -53,15 +54,21 @@ from .spectral_field import GridSpec, RealField, SpectralField, to_physical
 VARIANCE_TIE_RTOL = 1e-12
 
 
-def _ordered_map(fn: Callable, items: Sequence, jobs: int) -> Iterator:
+#: Rows of L^-1 that one triangular solve produces for the variance field.
+_ROW_BLOCK = 32
+
+
+def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
     """``map(fn, items)`` on ``jobs`` threads, yielding results in item order.
 
-    At most ``jobs + 1`` calls are running or waiting to be read, so a
-    consumer that drops each result before the next holds bounded memory,
-    and what it does with the results does not depend on ``jobs``.  One job
-    or one item runs in the calling thread.
+    Items are pulled as tasks are submitted, and at most ``jobs + 1`` calls
+    are running or waiting to be read, so a consumer that drops each result
+    before the next holds bounded memory, a lazy ``items`` is read at most
+    that far ahead, and what the consumer does with the results does not
+    depend on ``jobs``.  One job, or a sized ``items`` of one item, runs in
+    the calling thread.
     """
-    if jobs <= 1 or len(items) <= 1:
+    if jobs <= 1 or (isinstance(items, Sized) and len(items) <= 1):
         yield from map(fn, items)
         return
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -113,19 +120,86 @@ class ObservationSet:
         return PairIndex.of(self.locations, n)
 
 
-def _convolve_deltas(spectrum: np.ndarray, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``sum_i weights[i] K(x - x_i)`` at every x of an n x n torus.
+def _flat_indices(points: np.ndarray, n: int) -> np.ndarray:
+    return points[:, 0] * n + points[:, 1]
 
-    ``spectrum`` is the ``rfft2`` of K's table and ``points`` holds the
-    ``(k, 2)`` grid indices of the x_i; np.bincount sums the deltas of
-    coincident points.
+
+def _convolve_deltas(
+    spectrum: np.ndarray, flat: np.ndarray, weights: np.ndarray, out: np.ndarray, buffer: np.ndarray
+) -> np.ndarray:
+    """``sum_i weights[i] K(x - x_i)`` at every x of an n x n torus, into ``out``.
+
+    ``spectrum`` is the ``rfft2`` of K's table and ``flat`` holds the linear
+    grid indices of the x_i.  The deltas are scattered into ``out`` itself
+    (np.add.at sums coincident points in order, bit for bit as np.bincount
+    does, without a grid of its own), and the transforms run one axis at a
+    time in ``buffer``, an ``(n, n // 2 + 1)`` complex array; on numpy 2.4
+    this gives the bits of ``scipy.fft.irfft2(rfft2(deltas) * spectrum)``.
     """
-    n = spectrum.shape[0]
-    deltas = np.bincount(points[:, 0] * n + points[:, 1], weights=weights, minlength=n * n)
-    transformed = rfft2(deltas.reshape(n, n))
-    del deltas  # one grid less at the peak, which the inverse transform sets
-    transformed *= spectrum
-    return irfft2(transformed, s=(n, n), overwrite_x=True)
+    n = out.shape[0]
+    out.fill(0.0)
+    np.add.at(out.reshape(-1), flat, weights)
+    np.fft.rfft(out, axis=1, out=buffer)
+    np.fft.fft(buffer, axis=0, out=buffer)
+    buffer *= spectrum
+    np.fft.ifft(buffer, axis=0, out=buffer)
+    return np.fft.irfft(buffer, n, axis=1, out=out)
+
+
+def _new_buffer(n: int) -> np.ndarray:
+    return np.empty((n, n // 2 + 1), dtype=np.complex128)
+
+
+def _inverse_rows(chol: np.ndarray) -> Iterator[np.ndarray]:
+    """The rows of L^-1 for the lower triangular ``chol`` L, in order.
+
+    Row j solves ``L^T z = e_j``; each block of ``_ROW_BLOCK`` rows is one
+    triangular solve in place on unit columns, so L^-1 is never held whole.
+    """
+    m = len(chol)
+    for start in range(0, m, _ROW_BLOCK):
+        width = min(_ROW_BLOCK, m - start)
+        block = np.zeros((m, width), order="F")
+        block[start + np.arange(width), np.arange(width)] = 1.0
+        # a factor from a successful Cholesky is finite
+        block = solve_triangular(
+            chol, block, lower=True, trans="T", overwrite_b=True, check_finite=False
+        )
+        yield from block.T
+        del block  # from here only the rows drawn from it keep it alive
+
+
+def _squared_convolution_sum(
+    spectrum: np.ndarray, flat: np.ndarray, rows: Iterable[np.ndarray], n: int, jobs: int
+) -> np.ndarray:
+    """``sum_j (sum_i rows[j][i] K(x - x_i))^2`` at every x of an n x n torus.
+
+    Each row is a task on ``jobs`` threads (:func:`_ordered_map`).  A task
+    convolves in its thread's one complex buffer and squares into a real
+    grid from a free list; the calling thread adds the squares up in row
+    order, so the sum's bytes do not depend on ``jobs``, and returns each
+    grid to the list.  At most ``jobs + 1`` grids are ever made, none when
+    there are no rows.
+    """
+    reduction = np.zeros((n, n))
+    scratch = threading.local()
+    free: list[np.ndarray] = []
+
+    def squared_row(row: np.ndarray) -> np.ndarray:
+        buffer = getattr(scratch, "buffer", None)
+        if buffer is None:
+            buffer = scratch.buffer = _new_buffer(n)
+        try:
+            out = free.pop()
+        except IndexError:
+            out = np.empty((n, n))
+        values = _convolve_deltas(spectrum, flat, row, out, buffer)
+        return np.square(values, out=values)
+
+    for squared in _ordered_map(squared_row, rows, jobs):
+        reduction += squared
+        free.append(squared)
+    return reduction
 
 
 @dataclass(frozen=True)
@@ -137,10 +211,13 @@ class Posterior:
     observed values.  The fields are computed on first read and kept:
     ``mean_field`` is one FFT convolution, O(n^2 log n); ``variance_field``
     and ``clamp_count`` square one convolution per row of L^-1, O(m n^2 log n)
-    time.  The rows run as tasks on ``jobs`` threads, at most ``jobs + 1`` at
-    a time, and are added up in row order, so the field's bytes do not
-    depend on ``jobs``.  :meth:`variance_at` reads the variance at chosen
-    points without a field.
+    time.  The rows of L^-1 are solved ``_ROW_BLOCK`` (32) at a time and
+    run as tasks on ``jobs`` threads, at most ``jobs + 1`` at a time; each
+    thread reuses one transform buffer and the squares land in at most
+    ``jobs + 1`` reused grids, about ``2 jobs + 2`` grids and one block of
+    rows in all.  The squares are added up in row order, so the field's
+    bytes do not depend on ``jobs``.  :meth:`variance_at` reads the variance
+    at chosen points without a field.
     """
 
     kernel: KernelTable
@@ -150,29 +227,25 @@ class Posterior:
     jitter: float
     jobs: int = field(default=1, compare=False)
 
-    def _convolve(self, weights: np.ndarray) -> np.ndarray:
-        return _convolve_deltas(self.kernel.spectrum, self.obs.locations, weights)
-
-    def _squared_row(self, row: np.ndarray) -> np.ndarray:
-        # one task of the variance field: (sum_i row[i] K(x - x_i))^2
-        values = self._convolve(row)
-        np.square(values, out=values)
-        return values
-
     @cached_property
     def mean_field(self) -> RealField:
         """Posterior mean over the grid."""
-        return RealField(self.kernel.grid, self._convolve(self.alpha_weights))
+        n = self.kernel.grid.n
+        flat = _flat_indices(self.obs.locations, n)
+        values = _convolve_deltas(
+            self.kernel.spectrum, flat, self.alpha_weights, np.empty((n, n)), _new_buffer(n)
+        )
+        return RealField(self.kernel.grid, values)
 
     @cached_property
     def _unclamped_variance(self) -> np.ndarray:
         # sigma^2 - ||L^-1 k(x)||^2, where row j of L^-1 k(x) is a convolution
         n = self.kernel.grid.n
-        inverse = solve_triangular(self.chol, np.eye(self.obs.m), lower=True)
-        reduction = np.zeros((n, n))
-        for squared in _ordered_map(self._squared_row, inverse, self.jobs):
-            reduction += squared
-        return self.kernel.spec.variance - reduction
+        flat = _flat_indices(self.obs.locations, n)
+        reduction = _squared_convolution_sum(
+            self.kernel.spectrum, flat, _inverse_rows(self.chol), n, self.jobs
+        )
+        return np.subtract(self.kernel.spec.variance, reduction, out=reduction)
 
     @cached_property
     def variance_field(self) -> RealField:
@@ -328,7 +401,8 @@ def greedy_sensor_placement(
 
     The candidates start at the observations' posterior variance: sigma^2
     minus the squared convolutions of the rows of L^-1 with the kernel, for
-    the Cholesky factor L of the noisy Gram matrix (:class:`Posterior`).  A
+    the Cholesky factor L of the noisy Gram matrix, summed as for
+    :attr:`Posterior.variance_field` but on the sublattice below.  A
     pick p extends L by a row ``(l, d)`` and L^-1 by the row ``(-w, 1) / d``
     with ``w = L^-T l``, and lowers every candidate c by the square of that
     row's convolution, ``(k(c - p) - sum_q w_q k(c - q)) / d`` over the
@@ -336,7 +410,8 @@ def greedy_sensor_placement(
     deltas, read at the candidates.  It runs on the coarsest sublattice that
     holds every candidate and observation, of step ``gcd(n, every
     coordinate offset)``, where the kernel is the table sampled every
-    ``step`` points.  Memory is O(n^2 + (m + count)^2), against
+    ``step`` points, and the starting variances and every pick's row are
+    convolved there.  Memory is O(n^2 + (m + count)^2), against
     O(count x candidates) when the rows of L^-1 K(points, candidates) were
     kept; time is one convolution on the sublattice per pick.
     """
@@ -351,16 +426,14 @@ def greedy_sensor_placement(
     # the candidates' linear grid indices in increasing order, so the first of
     # several tied variances is at the lowest index; only their torus
     # positions outlive the setup, and each pick is mapped back from its own
-    linear = np.sort(cands[:, 0] * n + cands[:, 1])
+    linear = np.sort(_flat_indices(cands, n))
     del cands
 
     sigma2 = kernel.spec.variance
     tol = VARIANCE_TIE_RTOL * sigma2
     noise = obs.noise_variance
     m = obs.m
-    chol, jitter = _factorized_gram(kernel, obs)
-    weights = cho_solve((chol, True), obs.values)
-    variances = Posterior(kernel, obs, chol, weights, jitter)._unclamped_variance.reshape(-1)[linear]
+    chol, _ = _factorized_gram(kernel, obs)
     inverse = solve_triangular(chol, np.eye(m), lower=True)
 
     # every point lies on the sublattice origin + step Z^2, a torus of side
@@ -376,11 +449,15 @@ def greedy_sensor_placement(
     cand_flat = (rows // step) * side + cols // step
     del rows, cols
     table = np.ascontiguousarray(kernel.values[::step, ::step])
-    spectrum = rfft2(table)
+    spectrum = np.fft.rfft2(table)
     # torus positions of the conditioned points: the observations, then
     # each pick that entered the factor
     nodes = np.empty((m + count, 2), dtype=np.int64)
     nodes[:m] = obs_off // step
+    reduction = _squared_convolution_sum(spectrum, _flat_indices(nodes[:m], side), inverse, side, 1)
+    variances = reduction.reshape(-1)[cand_flat]
+    del reduction
+    np.subtract(sigma2, variances, out=variances)
 
     selected: list[tuple[int, int]] = []
     rank = m
@@ -406,7 +483,11 @@ def greedy_sensor_placement(
         grown[rank, rank] = 1.0 / d
         inverse = grown
         rank += 1
-        row = _convolve_deltas(spectrum, nodes[:rank], inverse[-1]).reshape(-1)[cand_flat]
+        # fresh arrays, so the transform buffer is gone before the gather
+        flat = _flat_indices(nodes[:rank], side)
+        row = _convolve_deltas(
+            spectrum, flat, inverse[-1], np.empty((side, side)), _new_buffer(side)
+        ).reshape(-1)[cand_flat]
         np.square(row, out=row)
         variances -= row
     return selected

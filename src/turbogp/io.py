@@ -5,7 +5,8 @@ Field dumps are a JSON header next to a raw little-endian float64 payload
 header and a non-finite payload with ``ValueError``.  CSV floats are written
 with 17 significant digits so values round-trip exactly.  Every writer
 creates the directories above its file, so an output directory exists only
-once a file has been written into it.
+once a file has been written into it, and replaces a file already there
+with a new one rather than rewriting it in place.
 """
 
 from __future__ import annotations
@@ -33,9 +34,15 @@ def format_value(value) -> str:
 
 
 def _new_file(path: Union[str, Path]) -> Path:
-    """``path`` as a :class:`Path`, with the directories above it created."""
+    """``path`` as a :class:`Path`, with the directories above it created.
+
+    A file already at ``path`` is unlinked, so the write makes a new file:
+    truncating the old one in place can wait for its data to be written
+    back to disk first (tens of ms per file on ext4).
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    path.unlink(missing_ok=True)
     return path
 
 
@@ -61,7 +68,7 @@ def write_field_dump(
     header = {"n": field.grid.n, "kind": "real", "seed": seed, "alpha": alpha}
     json_path.write_text(json.dumps(header, sort_keys=True) + "\n")
     payload = np.ascontiguousarray(field.values, dtype="<f8")
-    json_path.with_suffix(".bin").write_bytes(payload.tobytes())
+    _new_file(json_path.with_suffix(".bin")).write_bytes(payload.tobytes())
 
 
 def read_field_dump(json_path: Union[str, Path]) -> RealField:

@@ -83,6 +83,24 @@ class TestFieldDump:
         write(path)
         assert path.is_file()
 
+    @pytest.mark.parametrize("write", [
+        lambda path, x: write_csv(path, ["x"], [(x,)]),
+        lambda path, x: write_json(path, {"x": x}),
+        lambda path, x: write_field_dump(path, RealField(GridSpec(16), np.full((16, 16), x))),
+    ], ids=["csv", "json", "field_dump"])
+    def test_writers_replace_an_existing_file(self, tmp_path, write):
+        # a new file, not the old one rewritten in place: a hard link to the
+        # old file keeps its bytes
+        path = tmp_path / "f.json"
+        write(path, 1.0)
+        old = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        for name in old:
+            os.link(tmp_path / name, tmp_path / f"old_{name}")
+        write(path, 2.0)
+        for name, content in old.items():
+            assert (tmp_path / f"old_{name}").read_bytes() == content
+            assert not (tmp_path / name).samefile(tmp_path / f"old_{name}")
+
     def test_payload_is_little_endian_float64(self, tmp_path):
         grid = GridSpec(16)
         field = RealField(grid, np.arange(256, dtype=float).reshape(16, 16))
@@ -234,6 +252,16 @@ class TestOutputDirectory:
         assert str(out) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [afile]
         assert afile.read_text() == "keep"
+
+    def test_rerun_into_one_out_writes_identical_bytes(self, tmp_path):
+        args = ("reconstruct", "--truth", "gaussian", "--n", "32", "--m", "40",
+                "--noise", "0.1", "--seed", "11", "--out", str(tmp_path))
+        names = ("mean.json", "mean.bin", "variance.json", "variance.bin",
+                 "credible_summary.json")
+        assert run_cli(*args) == 0
+        first = {name: (tmp_path / name).read_bytes() for name in names}
+        assert run_cli(*args) == 0
+        assert {name: (tmp_path / name).read_bytes() for name in names} == first
 
 
 class TestCompareCommand:

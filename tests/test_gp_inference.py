@@ -270,6 +270,53 @@ class TestVarianceTasks:
             tracemalloc.stop()
         assert peak / (grid.n**2 * 8) < 11
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_inverse_factor_is_never_held_whole(self, jobs):
+        # the rows of L^-1 are solved a block of 32 at a time; the earlier
+        # field held eye(m) and L^-1 at once, 2.02 m x m matrices here
+        grid = GridSpec(16)
+        table = build_kernel_table(KernelSpec.cht(1.5), grid)
+        m = 300
+        rng = np.random.default_rng(54)
+        obs = ObservationSet(rng.integers(0, 16, size=(m, 2)), rng.standard_normal(m), 0.1)
+        post = fit_posterior(table, obs, jobs=jobs)
+        table.spectrum
+        tracemalloc.start()
+        try:
+            post.variance_field
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (m * m * 8) < 0.5
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("m", [0, 1, 31, 32, 33, 100])
+    def test_row_blocks_match_dense_conditioning(self, cht_table16, m, jobs):
+        # one block, a block boundary on either side, several blocks; every
+        # set of two or more points holds a coincident pair
+        rng = np.random.default_rng(55 + m)
+        locs = rng.integers(0, 16, size=(m, 2))
+        locs[1:2] = locs[:1]
+        values = rng.standard_normal(m)
+        post = fit_posterior(cht_table16, ObservationSet(locs, values, 0.05), jobs=jobs)
+        _, cov = dense_condition(cht_table16, locs, values, 0.05 + post.jitter)
+        variance = np.maximum(np.diag(cov), 0.0)
+        assert np.max(np.abs(post.variance_field.values.ravel() - variance)) <= 1e-12
+
+    def test_ordered_map_reads_a_lazy_iterable_as_it_submits(self):
+        pulled = [0]
+
+        def items():
+            for i in range(20):
+                pulled[0] += 1
+                yield i
+
+        ahead = []
+        for i, value in enumerate(_ordered_map(lambda x: x + 1, items(), 2)):
+            assert value == i + 1
+            ahead.append(pulled[0] - (i + 1))
+        assert max(ahead) <= 2
+
     def test_ordered_map_keeps_order_and_bounds_tasks_in_flight(self):
         lock = threading.Lock()
         started, read, most = [0], [0], [0]
