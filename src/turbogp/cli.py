@@ -492,7 +492,9 @@ def _help_text(param: Param) -> str:
     return f"{param.help} (default: {default})"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="turbogp",
         description="Stationary GP priors for 2D turbulent vorticity: sampling, "

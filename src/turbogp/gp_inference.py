@@ -1,5 +1,5 @@
 """Exact GP regression on the periodic grid: posterior fields, evidence,
-credible intervals, energy-functional variance, and greedy sensor placement.
+energy-functional variance, and greedy sensor placement.
 
 Every prior is a stationary kernel on the torus, so the posterior mean is a
 circular convolution of the weighted observation deltas with the kernel
@@ -342,18 +342,6 @@ def normal_quantile(level: float) -> float:
     if not (0.0 < level < 1.0):
         raise ValueError("level must lie strictly between 0 and 1")
     return float(_std_normal.ppf(0.5 + 0.5 * level))
-
-
-def credible_interval(
-    post: Posterior, location: tuple[int, int], level: float
-) -> tuple[float, float]:
-    """Central posterior interval for the field value at a grid point."""
-    z = normal_quantile(level)
-    a, b = int(location[0]), int(location[1])
-    mean = float(post.mean_field.values[a, b])
-    var = float(post.variance_at([(a, b)])[0])
-    halfwidth = z * np.sqrt(var)
-    return mean - halfwidth, mean + halfwidth
 
 
 def _power_table(grid: GridSpec, density_values: np.ndarray, power: int) -> np.ndarray:

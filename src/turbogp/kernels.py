@@ -323,46 +323,17 @@ def robust_cholesky(matrix: np.ndarray, variance: float) -> tuple[np.ndarray, fl
     )
 
 
-def velocity_spectral_covariance(alpha: float, n: tuple[int, int]) -> np.ndarray:
-    """Per-mode 2x2 velocity covariance (n_perp outer n_perp) / |n|^(4+2*alpha)."""
-    n1, n2 = int(n[0]), int(n[1])
-    if n1 == 0 and n2 == 0:
-        raise ValueError("velocity covariance is undefined at the zero mode")
-    perp = np.array([-n2, n1], dtype=np.float64)
-    ksq = float(n1 * n1 + n2 * n2)
-    return np.outer(perp, perp) / ksq ** (2.0 + alpha)
-
-
-@dataclass(frozen=True)
-class PhysicsParams:
-    """Dissipation exponent and forcing spectral exponent."""
-
-    gamma: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        _validate_gamma(self.gamma)
-
-
-def _validate_gamma(gamma: float) -> None:
-    if not (_GAMMA_LOW < gamma <= 1.0):
-        raise ValueError(f"gamma must lie in (2/3, 1], got {gamma}")
-
-
-def forcing_to_alpha(params: PhysicsParams) -> float:
-    """Spectral regularity implied by the forcing exponent and dissipation."""
-    return params.beta + params.gamma - 1.0
-
-
 def check_admissible(alpha: float, gamma: float) -> bool:
     """Whether (alpha, gamma) supports a unique stationary field statistics.
 
     Standard dissipation (gamma = 1) admits any alpha > 0; weaker dissipation
     gamma in (2/3, 1) requires alpha > 2 - gamma.  The strict inequality is
     evaluated with a small epsilon so decimal inputs sitting exactly on the
-    boundary are rejected despite binary rounding.
+    boundary are rejected despite binary rounding.  A gamma outside
+    (2/3, 1] raises ``ValueError``.
     """
-    _validate_gamma(gamma)
+    if not (_GAMMA_LOW < gamma <= 1.0):
+        raise ValueError(f"gamma must lie in (2/3, 1], got {gamma}")
     if gamma == 1.0:
         return alpha > 0.0
     return alpha - (2.0 - gamma) > _ADMISSIBILITY_EPS

@@ -15,7 +15,7 @@ from conftest import dense_condition, dense_greedy
 from turbogp import cli
 from turbogp.cli import COMMANDS, main
 from turbogp.io import read_field_dump, write_csv, write_field_dump, write_json
-from turbogp import GridSpec, KernelSpec, RealField, build_kernel_table
+from turbogp import GridSpec, KernelSpec, RealField, build_kernel_table, normal_quantile
 
 
 def run_cli(*argv):
@@ -392,6 +392,28 @@ class TestReconstructCommand:
                        "--seed", "3", "--out", str(out)) == 0
         assert (out / "credible_summary.json").exists()
 
+    def test_credible_summary_is_the_band_of_the_dumps(self, tmp_path):
+        # the band is z * sqrt(variance) at every grid point, read back from the dumps
+        assert run_cli("sample", "--n", "32", "--seed", "2", "--out", str(tmp_path / "sample")) == 0
+        dump = tmp_path / "sample" / "field.json"
+        truth = read_field_dump(dump).values
+        summaries = {}
+        for level in (0.95, 1e-12, 0.9544997361036416):
+            out = tmp_path / repr(level)
+            assert run_cli("reconstruct", "--field", str(dump), "--m", "40", "--level", repr(level),
+                           "--seed", "3", "--out", str(out)) == 0
+            summary = json.loads((out / "credible_summary.json").read_text())
+            mean = read_field_dump(out / "mean.json").values
+            variance = read_field_dump(out / "variance.json").values
+            assert summary["level"] == level
+            assert summary["z"] == normal_quantile(level)
+            half = summary["z"] * np.sqrt(variance)
+            assert summary["coverage"] == float(np.mean(np.abs(truth - mean) <= half))
+            assert summary["mean_interval_halfwidth"] == float(half.mean())
+            summaries[level] = summary
+        assert summaries[1e-12]["mean_interval_halfwidth"] < 1e-10
+        assert abs(summaries[0.9544997361036416]["z"] - 2.0) <= 1e-12
+
     def test_level_out_of_range_creates_nothing(self, tmp_path):
         out = tmp_path / "rec"
         assert exit_code("reconstruct", "--n", "16", "--m", "10", "--level", "1.5",
@@ -578,6 +600,27 @@ class TestConfigAndEnvironment:
         assert manifest["config_echo"]["n"] == 32        # from config
         assert manifest["config_echo"]["alpha"] == 2.0   # flag wins
         assert manifest["master_seed"] == 4
+
+    def test_shared_parser_carries_nothing_between_commands(self, tmp_path, monkeypatch):
+        # one parser, built once per process, parses every command
+        monkeypatch.delenv("TURBOGP_SEED", raising=False)
+        assert cli.build_parser() is cli.build_parser()
+        runs = [  # command, config file, flag values
+            ("sample", {"n": 16, "gamma": 0.9, "seed": 5}, {"alpha": 2.0}),
+            ("place-sensors", {"n": 16, "count": 2, "alpha": 1.25, "noise_variance": 0.02}, {}),
+            ("sample", {"n": 32}, {}),
+        ]
+        for index, (command, config, flag_values) in enumerate(runs):
+            out = tmp_path / str(index)
+            flags = [text for name, value in flag_values.items() for text in (f"--{name}", str(value))]
+            config_path = tmp_path / f"config{index}.json"
+            config_path.write_text(json.dumps(config))
+            assert run_cli(command, "--config", str(config_path), *flags, "--out", str(out)) == 0
+            expected = {param.name: param.default for param in COMMANDS[command].params}
+            expected.update(config, **flag_values)
+            expected.update(seed=config.get("seed", 0), out=str(out))
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config_echo"] == json.loads(json.dumps(expected))
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "config.json"

@@ -1,5 +1,5 @@
 """Spectral densities, kernel tables vs the direct-sum oracle, Gram assembly,
-velocity covariance, and the dissipation admissibility rule."""
+and the dissipation admissibility rule."""
 
 from fractions import Fraction
 
@@ -13,13 +13,10 @@ from turbogp import (
     GridSpec,
     KernelSpec,
     ObservationSet,
-    PhysicsParams,
     build_kernel_table,
     check_admissible,
-    forcing_to_alpha,
     gram_matrix,
     spectral_density,
-    velocity_spectral_covariance,
 )
 from turbogp.kernels import PairIndex, _offset_gather, raw_density
 
@@ -341,29 +338,6 @@ class TestSharedInvariants:
         assert scaled.grid_values.sum() == pytest.approx(2.0, rel=1e-12)
 
 
-class TestVelocitySpectralCovariance:
-    def test_axis_modes(self):
-        m = velocity_spectral_covariance(1.5, (1, 0))
-        assert np.allclose(m, [[0.0, 0.0], [0.0, 1.0]])
-        m = velocity_spectral_covariance(1.5, (0, 1))
-        assert np.allclose(m, [[1.0, 0.0], [0.0, 0.0]])
-
-    def test_zero_mode_rejected(self):
-        with pytest.raises(ValueError):
-            velocity_spectral_covariance(1.5, (0, 0))
-
-    @pytest.mark.parametrize("n", [(1, 2), (-3, 5), (4, 0), (-2, -2)])
-    def test_incompressibility_and_trace(self, n):
-        alpha = 1.5
-        m = velocity_spectral_covariance(alpha, n)
-        assert np.allclose(m @ np.array(n, dtype=float), 0.0, atol=1e-15)
-        ksq = float(n[0] ** 2 + n[1] ** 2)
-        assert np.trace(m) == pytest.approx(ksq ** -(1.0 + alpha), rel=1e-12)
-        eigs = np.linalg.eigvalsh(m)
-        assert eigs.min() >= -1e-15
-        assert np.sum(eigs > 1e-15) == 1
-
-
 class TestRobustCholesky:
     def test_clean_matrix_needs_no_jitter(self):
         from turbogp.kernels import robust_cholesky
@@ -389,13 +363,7 @@ class TestRobustCholesky:
 
 
 class TestAdmissibility:
-    def test_forcing_relation(self):
-        assert forcing_to_alpha(PhysicsParams(gamma=1.0, beta=1.5)) == pytest.approx(1.5)
-        assert check_admissible(1.5, 1.0)
-
     def test_gamma_out_of_range(self):
-        with pytest.raises(ValueError):
-            PhysicsParams(gamma=0.5, beta=1.0)
         with pytest.raises(ValueError):
             check_admissible(1.0, 1.2)
         with pytest.raises(ValueError):
