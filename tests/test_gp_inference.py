@@ -421,6 +421,22 @@ class TestCredibleInterval:
             with pytest.raises(ValueError):
                 normal_quantile(level)
 
+    # the band is the one reconstruct writes: mean +- z * sqrt(variance)
+    def test_interval_collapses_at_tiny_level(self, cht_table16):
+        post = fit_posterior(cht_table16, _random_obs(cht_table16.grid, 3, seed=2))
+        half = normal_quantile(1e-12) * np.sqrt(post.variance_at([(1, 1)])[0])
+        mean = post.mean_field.values[1, 1]
+        assert mean - half == pytest.approx(mean, abs=1e-6)
+        assert mean + half == pytest.approx(mean, abs=1e-6)
+
+    def test_two_sigma_level(self, cht_table16):
+        obs = ObservationSet(np.zeros((0, 2), dtype=int), np.zeros(0), 0.0)
+        post = fit_posterior(cht_table16, obs)  # prior: mean 0, variance 1
+        half = normal_quantile(0.9544997361036416) * np.sqrt(post.variance_field.values[0, 0])
+        mean = post.mean_field.values[0, 0]
+        assert mean - half == pytest.approx(-2.0, abs=1e-9)
+        assert mean + half == pytest.approx(2.0, abs=1e-9)
+
     def test_empirical_coverage_matched_kernel(self):
         from turbogp import sample_gaussian_field
 
