@@ -15,9 +15,12 @@ the seed, writes the manifest and maps errors to exit codes.
 :func:`main` runs the command with numpy's and scipy's vendored OpenBLAS on
 one thread each, so ``--jobs`` is the only parallelism and the output bytes
 do not depend on the core count; each library's previous count is restored
-when the command ends.  Where no such library is found (another BLAS build)
-the command runs unpinned.  The manifest's ``blas_threads`` records the
-count in effect.
+when the command ends.  A library counts only when it exports both the
+``scipy_openblas`` thread getter and setter; where none is found (another
+BLAS build) the command runs unpinned.  The manifest's ``blas_threads``
+records the count in effect: 1, or null when unpinned.  Every value the
+command resolved (an exponent or a grid size taken from another parameter
+or from an input file) is echoed in the manifest as it was used.
 
 A failing command writes nothing.  ``--out`` is created with its first file,
 which is written after the computation, so an unwritable ``--out`` is
@@ -113,6 +116,7 @@ _int_list = _checked(_parts(int), bool, "comma-separated integers")
 _LIST_TYPES = (_float_list, _int_list)
 #: trials, seeds, picks and worker threads
 _count = _checked(int, lambda value: value >= 1, "an integer >= 1")
+_seed = _checked(int, lambda value: value >= 0, "an integer >= 0")
 _level = _checked(float, lambda value: 0.0 < value < 1.0, "a level strictly between 0 and 1")
 
 
@@ -133,7 +137,7 @@ _KERNEL = Param("kernel", str, FAMILY_CHT, FAMILIES, "prior kernel family")
 _LENGTH_SCALE = Param("length_scale", _finite, help="baseline length scale")
 _NU = Param("nu", _finite, help="Matern smoothness, required for --kernel matern")
 _COMMON = (
-    Param("seed", int, help=f"master seed (default: env {ENV_SEED}, then 0)"),
+    Param("seed", _seed, help=f"master seed (default: env {ENV_SEED}, then 0)"),
     Param("out", str, ".", help="output directory"),
 )
 
@@ -184,10 +188,15 @@ def _resolve(args: argparse.Namespace, params: tuple[Param, ...]) -> dict:
 
 
 def _coerce_seed(value) -> int:
-    if value is None:
-        env = os.environ.get(ENV_SEED)
-        return int(env) if env else 0
-    return value
+    if value is not None:
+        return value
+    env = os.environ.get(ENV_SEED)
+    if not env:
+        return 0
+    try:
+        return _seed(env)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"environment variable {ENV_SEED}: {exc}") from exc
 
 
 def _check_alpha_gamma(alpha: float, gamma: float) -> None:
@@ -221,7 +230,7 @@ def cmd_sample(params: dict) -> None:
     _check_alpha_gamma(params["alpha"], params["gamma"])
     grid = GridSpec(params["n"])
     density = spectral_density(KernelSpec.cht(params["alpha"]), grid)
-    field = sample_gaussian_field(density, grid, params["seed"])
+    field = sample_gaussian_field(density, params["seed"])
     spectrum = radial_spectrum(field)
     outdir = Path(params["out"])
     write_field_dump(outdir / "field.json", field, seed=params["seed"], alpha=params["alpha"])
@@ -282,10 +291,10 @@ def _trials_rows(results) -> list[tuple]:
 
 
 def cmd_compare(params: dict) -> None:
-    alpha = params["alpha"]
-    if alpha is None:
+    if params["alpha"] is None:
         gaussian = params["truth"] == TRUTH_GAUSSIAN
-        alpha = params["alpha_true"] if gaussian else VORTEX_RECONSTRUCTION_ALPHA
+        params["alpha"] = params["alpha_true"] if gaussian else VORTEX_RECONSTRUCTION_ALPHA
+    alpha = params["alpha"]
     _check_alpha_gamma(alpha, params["gamma"])
     base = _trial_config(params, alpha, params["m"], truth_kind=params["truth"])
     results = run_comparison(base, params["trials"], jobs=params["jobs"])
@@ -328,7 +337,9 @@ def cmd_sweep_alpha(params: dict) -> None:
 
 
 def cmd_sweep_density(params: dict) -> None:
-    alpha = params["alpha_true"] if params["alpha"] is None else params["alpha"]
+    if params["alpha"] is None:
+        params["alpha"] = params["alpha_true"]
+    alpha = params["alpha"]
     _check_alpha_gamma(alpha, params["gamma"])
     base = _trial_config(params, alpha, params["m"][0])
     sweep = sweep_density(base, params["m"], params["trials"], jobs=params["jobs"])
@@ -387,9 +398,12 @@ def cmd_reconstruct(params: dict) -> None:
             params["alpha"] = params["alpha_true"]
         _check_alpha_gamma(params["alpha"], params["gamma"])
     spec = _kernel_from_params(params)
-    truth = _read_truth(params["field"]) if params["field"] else None
+    truth = None
+    if params["field"]:
+        truth = _read_truth(params["field"])
+        params["n"] = truth.grid.n
     config = TrialConfig(
-        grid_n=params["n"] if truth is None else truth.grid.n,
+        grid_n=params["n"],
         alpha_true=params["alpha_true"],
         kernel_candidates=(spec,),
         m=params["m"],
@@ -520,11 +534,10 @@ _VENDORED_OPENBLAS = ((np, "64_"), (scipy, ""))
 
 
 @functools.cache
-def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable | None], ...]:
+def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
     """``(get, set)`` thread-count functions of each vendored OpenBLAS, loaded once.
 
-    A library without the ``scipy_openblas`` getter is left out; one without
-    the setter has ``set`` None and is read but not pinned.
+    A library that does not export both ``scipy_openblas`` functions is left out.
     """
     controls = []
     for package, suffix in _VENDORED_OPENBLAS:
@@ -535,12 +548,11 @@ def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable | Non
             except OSError:
                 continue
             get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            if get is None:
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is None or set_ is None:
                 continue
             get.argtypes, get.restype = (), ctypes.c_int
-            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            if set_ is not None:
-                set_.argtypes, set_.restype = (ctypes.c_int,), None
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
             controls.append((get, set_))
     return tuple(controls)
 
@@ -549,11 +561,10 @@ def _pin_one_blas_thread() -> tuple[list[tuple[Callable, int]], int | None]:
     """Set every vendored OpenBLAS to one thread.
 
     Returns each setter called with the count to restore, and the largest
-    count a library then reports (1 unless a library cannot be set), or
-    None when no library is found.
+    count a library then reports (1), or None when no library is found.
     """
     controls = _openblas_thread_controls()
-    restore = [(set_, get()) for get, set_ in controls if set_ is not None]
+    restore = [(set_, get()) for get, set_ in controls]
     for set_, _ in restore:
         set_(1)
     return restore, max((get() for get, _ in controls), default=None)
@@ -569,8 +580,7 @@ def main(argv=None) -> int:
         params["seed"] = _coerce_seed(params["seed"])
         command.handler(params)
         write_manifest(
-            params["out"], args.command, params, params["seed"],
-            time.perf_counter() - start, blas_threads,
+            params["out"], args.command, params, time.perf_counter() - start, blas_threads
         )
     except (UsageError, ValueError) as exc:
         print(f"turbogp: error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ metric eps; every comparison, sweep and ``reconstruct`` scores through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,9 +39,6 @@ from .spectral_field import (
 RBF_LENGTH_SCALES: tuple[float, ...] = tuple(
     0.05 * 1.5**k for k in range(9) if 0.05 * 1.5**k < 1.6
 ) + (1.6,)
-
-AXIS_ALPHA = "ALPHA"
-AXIS_DENSITY = "DENSITY"
 
 
 def derive_seed(master_seed: int, *path: int) -> int:
@@ -90,7 +87,6 @@ class TrialConfig:
     noise_ratio: float
     master_seed: int
     truth_kind: str = TRUTH_GAUSSIAN
-    vortex_params: VortexParams = field(default_factory=VortexParams)
 
     def __post_init__(self) -> None:
         GridSpec(self.grid_n)
@@ -130,7 +126,6 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    axis: str
     points: tuple[SweepPoint, ...]
 
 
@@ -151,7 +146,7 @@ def _unit_variance(values: np.ndarray) -> np.ndarray:
 def generate_cht_truth(alpha: float, grid: GridSpec, seed: int) -> RealField:
     """Equilibrium power-law sample rescaled to unit grid variance."""
     density = spectral_density(KernelSpec.cht(alpha), grid)
-    raw = sample_gaussian_field(density, grid, seed)
+    raw = sample_gaussian_field(density, seed)
     return RealField(grid, _unit_variance(raw.values))
 
 
@@ -207,14 +202,13 @@ def observe(truth: RealField, m: int, noise_ratio: float, seed: int) -> Observat
     )
 
 
-def generate_truth(
-    kind: str, alpha_true: float, grid: GridSpec, seed: int, vortex: VortexParams = VortexParams()
-) -> RealField:
-    """Unit-variance truth of ``kind``: a power-law sample or a vortex field."""
+def generate_truth(kind: str, alpha_true: float, grid: GridSpec, seed: int) -> RealField:
+    """Unit-variance truth of ``kind``: a power-law sample or a default
+    :class:`VortexParams` vortex field."""
     if kind == TRUTH_GAUSSIAN:
         return generate_cht_truth(alpha_true, grid, seed)
     if kind == TRUTH_VORTEX:
-        return generate_vortex_truth(vortex, grid, seed)
+        return generate_vortex_truth(VortexParams(), grid, seed)
     raise ValueError(f"unknown truth kind {kind!r}")
 
 
@@ -242,7 +236,7 @@ class Trial:
         if truth is None:
             truth = generate_truth(
                 config.truth_kind, config.alpha_true, GridSpec(config.grid_n),
-                derive_seed(config.master_seed, 0), config.vortex_params,
+                derive_seed(config.master_seed, 0),
             )
         elif truth.grid.n != config.grid_n:
             raise ValueError(f"truth grid {truth.grid.n} does not match grid_n {config.grid_n}")
@@ -367,7 +361,7 @@ def sweep_alpha(
         aggregate_point(float(alpha), [results[i] for results in per_trial])
         for i, alpha in enumerate(alphas)
     )
-    return SweepResult(axis=AXIS_ALPHA, points=points)
+    return SweepResult(points)
 
 
 def sweep_density(
@@ -389,7 +383,7 @@ def sweep_density(
         aggregate_point(float(m), list(_ordered_map(run_trial, point_configs, jobs)))
         for m, point_configs in zip(m_values, configs)
     ]
-    return SweepResult(axis=AXIS_DENSITY, points=tuple(points))
+    return SweepResult(tuple(points))
 
 
 def spectral_validation(
@@ -411,9 +405,7 @@ def spectral_validation(
         density = spectral_density(KernelSpec.cht(float(alpha)), grid)
         power = np.zeros((grid.n, grid.n))
         for s in range(seeds_per_alpha):
-            sample = sample_gaussian_field(
-                density, grid, derive_seed(master_seed, ai, s)
-            )
+            sample = sample_gaussian_field(density, derive_seed(master_seed, ai, s))
             power += np.abs(to_spectral(sample).coeffs) ** 2
         estimate = radial_spectrum_of_power(grid, power / seeds_per_alpha)
         out.append(

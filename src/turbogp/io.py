@@ -94,15 +94,15 @@ def write_manifest(
     outdir: Union[str, Path],
     command: str,
     config_echo: dict,
-    master_seed: int,
     wall_time_s: float,
     blas_threads: Optional[int],
 ) -> None:
-    """``manifest.json``; ``blas_threads`` is the OpenBLAS thread count in effect, None if unknown."""
+    """``manifest.json``; ``master_seed`` is ``config_echo["seed"]`` and
+    ``blas_threads`` the OpenBLAS thread count in effect, None if unpinned."""
     write_json(Path(outdir) / "manifest.json", {
         "command": command,
         "config_echo": config_echo,
-        "master_seed": int(master_seed),
+        "master_seed": int(config_echo["seed"]),
         "tool_version": __version__,
         "csv_schema_version": CSV_SCHEMA_VERSION,
         "wall_time_s": wall_time_s,

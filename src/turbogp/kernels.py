@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -54,20 +54,19 @@ class KernelSpec:
 
     Only the parameters of the named family are meaningful and checked to be
     finite and positive; the others are ignored.  ``variance`` is the
-    marginal (post-normalization) variance of the induced kernel.
+    marginal (post-normalization) variance of every induced kernel, a
+    constant 1: every prior, like every truth, has unit variance.
     """
 
     family: str
     alpha: Optional[float] = None
     length_scale: Optional[float] = None
     nu: Optional[float] = None
-    variance: float = 1.0
+    variance: ClassVar[float] = 1.0
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if not _finite_positive(self.variance):
-            raise ValueError("variance must be finite and positive")
         if self.family == FAMILY_CHT:
             if self.alpha is None or not _finite_positive(self.alpha):
                 raise ValueError("cht kernel requires a finite alpha > 0")
@@ -81,19 +80,17 @@ class KernelSpec:
                 raise ValueError("matern kernel requires a finite length_scale > 0")
 
     @classmethod
-    def cht(cls, alpha: float, variance: float = 1.0) -> "KernelSpec":
-        return cls(family=FAMILY_CHT, alpha=alpha, variance=variance)
+    def cht(cls, alpha: float) -> "KernelSpec":
+        return cls(family=FAMILY_CHT, alpha=alpha)
 
     @classmethod
-    def rbf(cls, length_scale: Optional[float], variance: float = 1.0) -> "KernelSpec":
+    def rbf(cls, length_scale: Optional[float]) -> "KernelSpec":
         """``length_scale=None`` marks a baseline to be tuned by evidence."""
-        return cls(family=FAMILY_RBF, length_scale=length_scale, variance=variance)
+        return cls(family=FAMILY_RBF, length_scale=length_scale)
 
     @classmethod
-    def matern(
-        cls, nu: float, length_scale: Optional[float] = 1.0, variance: float = 1.0
-    ) -> "KernelSpec":
-        return cls(family=FAMILY_MATERN, nu=nu, length_scale=length_scale, variance=variance)
+    def matern(cls, nu: float, length_scale: Optional[float] = 1.0) -> "KernelSpec":
+        return cls(family=FAMILY_MATERN, nu=nu, length_scale=length_scale)
 
     @property
     def tag(self) -> str:
@@ -136,7 +133,6 @@ class SpectralDensity:
 
     spec: KernelSpec
     grid: GridSpec
-    normalization_constant: float
     grid_values: np.ndarray
 
     def __post_init__(self) -> None:
@@ -154,7 +150,7 @@ def truncation_mask(grid: GridSpec) -> np.ndarray:
 
 
 def spectral_density(spec: KernelSpec, grid: GridSpec) -> SpectralDensity:
-    """Family density sampled on the grid lattice and normalized to variance.
+    """Family density sampled on the grid lattice and normalized to unit variance.
 
     Densities are read-only, so equal ``(spec, grid)`` pairs share one
     density from a bounded per-process cache.
@@ -168,10 +164,7 @@ def _normalized_density(spec: KernelSpec, grid: GridSpec) -> SpectralDensity:
     total = float(values.sum())
     if not (total > 0 and math.isfinite(total)):
         raise ValueError("spectral density is degenerate on this grid")
-    norm = spec.variance / total
-    return SpectralDensity(
-        spec=spec, grid=grid, normalization_constant=norm, grid_values=values * norm
-    )
+    return SpectralDensity(spec=spec, grid=grid, grid_values=values * (spec.variance / total))
 
 
 _cached_spectral_density = lru_cache(maxsize=SPECTRAL_DENSITY_CACHE_SIZE)(_normalized_density)

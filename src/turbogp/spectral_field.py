@@ -53,10 +53,6 @@ class GridSpec:
         return TWO_PI / self.n
 
     @property
-    def quadrature_weight(self) -> float:
-        return self.spacing**2
-
-    @property
     def synthesis_scale(self) -> float:
         """Factor turning ``numpy.fft.ifft2`` output into Fourier-series values."""
         return float(self.n * self.n)
@@ -149,18 +145,15 @@ def _real_field(values: np.ndarray, grid: GridSpec) -> RealField:
     return RealField(grid, values.real)
 
 
-def sample_gaussian_field(
-    density: "SpectralDensity", grid: GridSpec, seed: int
-) -> RealField:
-    """Draw a zero-mean stationary Gaussian field with per-mode variances S(n).
+def sample_gaussian_field(density: "SpectralDensity", seed: int) -> RealField:
+    """Draw a zero-mean stationary Gaussian field with per-mode variances S(n)
+    on the density's grid.
 
     Independent complex-normal coefficients are drawn on a canonical half
     lattice and conjugate-mirrored; the four self-conjugate modes (both
     index components in {0, n/2}) are forced real with full variance S(n).
     Deterministic for a fixed seed.
     """
-    if density.grid != grid:
-        raise ValueError("density was built for a different grid")
     s = np.asarray(density.grid_values, dtype=np.float64)
     if np.any(s < 0):
         raise ValueError("per-mode variance must be nonnegative")
@@ -168,7 +161,7 @@ def sample_gaussian_field(
         raise ValueError("zero mode must carry no variance")
     # ifft2 one axis at a time, so the coefficients are freed halfway
     values = np.fft.ifft(_hermitian_draw(s, seed), axis=-1)
-    return _real_field(np.fft.ifft(values, axis=-2), grid)
+    return _real_field(np.fft.ifft(values, axis=-2), density.grid)
 
 
 def _hermitian_draw(s: np.ndarray, seed: int) -> np.ndarray:
@@ -329,7 +322,6 @@ class PowerLawFit:
 
     exponent: float
     exponent_stderr: float
-    intercept: float
     k_min: int
     k_max: int
     r_squared: float
@@ -392,7 +384,6 @@ def fit_power_law(
     return PowerLawFit(
         exponent=slope,
         exponent_stderr=stderr,
-        intercept=intercept,
         k_min=k_min,
         k_max=k_max,
         r_squared=r_squared,

@@ -152,13 +152,14 @@ def refit_greedy(table, obs, candidates, count):
     return selected
 
 
-def mask_sample_gaussian_field(density, grid, seed):
+def mask_sample_gaussian_field(density, seed):
     """Reference Gaussian field sampler built from full-lattice boolean masks.
 
     Draws the same normals as ``sample_gaussian_field`` and fills the same
     coefficients with the same arithmetic, so the two agree bit for bit.
     """
     s = np.asarray(density.grid_values, dtype=np.float64)
+    grid = density.grid
     n = grid.n
     rng = np.random.default_rng(seed)
     re = rng.standard_normal((n, n))

@@ -118,7 +118,7 @@ def test_criterion_04_sampling_covariance():
     samples = 10_000
     draws = np.empty((samples, 256))
     for s in range(samples):
-        draws[s] = sample_gaussian_field(density, grid, derive_seed(2718, s)).values.ravel()
+        draws[s] = sample_gaussian_field(density, derive_seed(2718, s)).values.ravel()
     emp_cov = draws.T @ draws / samples
     emp_mean = draws.mean(axis=0)
 
@@ -243,7 +243,7 @@ def test_criterion_09_posterior_properties():
     v = post.variance_field.values
     bounds_ok = bool(np.all(v >= 0.0) and np.all(v <= spec.variance + 1e-8))
 
-    truth = sample_gaussian_field(density, grid, 1001)
+    truth = sample_gaussian_field(density, 1001)
     exact = observe(truth, 30, 0.0, 1002)
     tiny = ObservationSet(exact.locations, exact.values, 1e-10)
     post_tiny = fit_posterior(table, tiny)
@@ -262,7 +262,7 @@ def test_criterion_09_posterior_properties():
     z = 1.959963984540054
     inside = total = 0
     for t in range(20):
-        truth_t = sample_gaussian_field(density, grid, derive_seed(314, t, 0))
+        truth_t = sample_gaussian_field(density, derive_seed(314, t, 0))
         obs_t = observe(truth_t, 60, 0.1, derive_seed(314, t, 1))
         post_t = fit_posterior(table, obs_t)
         half = z * np.sqrt(np.maximum(post_t.variance_field.values, 0.0))
@@ -288,7 +288,7 @@ def test_criterion_10_biot_savart():
     max_div = 0.0
     max_curl_err = 0.0
     for s in range(10):
-        field = sample_gaussian_field(density, grid, derive_seed(404, s))
+        field = sample_gaussian_field(density, derive_seed(404, s))
         w_hat = to_spectral(field)
         u1_hat, u2_hat = biot_savart_spectral(w_hat)
         div = fx * u1_hat.coeffs + fy * u2_hat.coeffs

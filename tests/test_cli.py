@@ -521,7 +521,7 @@ class TestBlasThreads:
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_main_restores_the_callers_thread_count(self, tmp_path):
-        controls = [(get, set_) for get, set_ in cli._openblas_thread_controls() if set_]
+        controls = cli._openblas_thread_controls()
         if not controls:
             pytest.skip("no vendored OpenBLAS whose thread count can be set")
         before = [get() for get, _ in controls]
@@ -555,15 +555,6 @@ class TestBlasThreads:
         monkeypatch.setattr(cli, "_openblas_thread_controls", lambda: ((blas.get, blas.set),))
         assert run_cli("sample", "--n", "16", "--alpha", "-1", "--out", str(tmp_path)) == 2
         assert blas.threads == 3
-
-    def test_a_library_without_a_setter_is_read_not_pinned(self, tmp_path, monkeypatch):
-        settable, readable = FakeBlas(3), FakeBlas(4)
-        monkeypatch.setattr(cli, "_openblas_thread_controls", lambda: (
-            (settable.get, settable.set), (readable.get, None),
-        ))
-        assert run_cli(*self.SAMPLE, "--out", str(tmp_path)) == 0
-        assert (settable.threads, readable.threads) == (3, 4)
-        assert self.manifest(tmp_path)["blas_threads"] == 4
 
 
 class TestNonFiniteFloats:
@@ -650,6 +641,7 @@ class TestConfigAndEnvironment:
         {"n": "sixteen"},
         {"n": [16]},
         {"m": True},
+        {"seed": -1},
     ])
     def test_config_values_checked_like_flags(self, tmp_path, config):
         small = {"n": 16, "m": 10, "trials": 1, "jobs": 1}
@@ -687,6 +679,23 @@ class TestConfigAndEnvironment:
         manifest = json.loads((out2 / "manifest.json").read_text())
         assert manifest["master_seed"] == 0
 
+    @pytest.mark.parametrize("command", ["sample", "place-sensors"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command):
+        # used to exit 2 without naming the flag, and place-sensors exited 0
+        out = tmp_path / "out"
+        assert exit_code(command, "--n", "16", "--seed", "-1", "--out", str(out)) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+    def test_bad_env_seed_rejected(self, tmp_path, monkeypatch, capsys, value):
+        # "abc" used to be reported as "invalid literal for int()"
+        monkeypatch.setenv("TURBOGP_SEED", value)
+        out = tmp_path / "out"
+        assert run_cli("sample", "--n", "16", "--out", str(out)) == 2
+        assert "TURBOGP_SEED" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exit_code_from_argparse(self):
         with pytest.raises(SystemExit) as err:
             run_cli("sample", "--n", "not-a-number")
@@ -722,7 +731,29 @@ class TestParameterTable:
         assert run_cli(command) == 0
         expected = {param.name: param.default for param in COMMANDS[command].params}
         expected["seed"] = 0
-        if command == "reconstruct":
+        if command in ("compare", "reconstruct", "sweep-density"):
             expected["alpha"] = expected["alpha_true"]  # the cht exponent follows the truth
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config_echo"] == json.loads(json.dumps(expected))
+
+
+class TestManifestEcho:
+    """``config_echo`` holds each value a command resolved, as the command used it."""
+
+    SMALL = ("--n", "16", "--m", "10", "--trials", "1")
+
+    @pytest.mark.parametrize("command,flags,key,want", [
+        ("compare", ("--truth", "vortex", *SMALL), "alpha", 1.25),
+        ("compare", ("--alpha-true", "2.0", *SMALL), "alpha", 2.0),
+        ("sweep-density", ("--alpha-true", "2.0", *SMALL), "alpha", 2.0),
+        ("reconstruct", ("--field", "field.json", "--m", "10"), "n", 32),
+    ], ids=["compare_vortex", "compare_gaussian", "sweep_density", "reconstruct_field"])
+    def test_resolved_value_echoed(self, tmp_path, monkeypatch, command, flags, key, want):
+        # compare and sweep-density used to echo alpha null, and
+        # reconstruct --field the default n 128
+        monkeypatch.chdir(tmp_path)
+        field = np.random.default_rng(0).standard_normal((32, 32))
+        write_field_dump("field.json", RealField(GridSpec(32), field))
+        assert run_cli(command, *flags, "--jobs", "1", "--out", "out") == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config_echo"][key] == want

@@ -26,7 +26,6 @@ from turbogp import (
 )
 from turbogp import experiments, gp_inference, kernels
 from turbogp.experiments import (
-    AXIS_ALPHA,
     RBF_LENGTH_SCALES,
     TRUTH_GAUSSIAN,
     TRUTH_VORTEX,
@@ -147,9 +146,8 @@ class TestGenerateTruth:
     def test_dispatches_on_kind(self, grid64):
         assert np.array_equal(generate_truth(TRUTH_GAUSSIAN, 1.5, grid64, 7).values,
                               generate_cht_truth(1.5, grid64, 7).values)
-        vortex = VortexParams(vortex_count=3)
-        assert np.array_equal(generate_truth(TRUTH_VORTEX, 1.5, grid64, 7, vortex).values,
-                              generate_vortex_truth(vortex, grid64, 7).values)
+        assert np.array_equal(generate_truth(TRUTH_VORTEX, 1.5, grid64, 7).values,
+                              generate_vortex_truth(VortexParams(), grid64, 7).values)
 
     def test_unknown_kind_rejected(self, grid64):
         with pytest.raises(ValueError, match="truth kind"):
@@ -290,7 +288,6 @@ class TestSweeps:
 
     def test_single_point_alpha_sweep_matches_run_trial(self):
         sweep = sweep_alpha(self._base(), [1.5], trials=3)
-        assert sweep.axis == "ALPHA"
         assert len(sweep.points) == 1
         point = sweep.points[0]
         assert point.trial_count == 3
@@ -303,7 +300,6 @@ class TestSweeps:
 
     def test_density_sweep_bookkeeping(self):
         sweep = sweep_density(self._base(), [10, 20], trials=3)
-        assert sweep.axis == "DENSITY"
         assert [p.axis_value for p in sweep.points] == [10.0, 20.0]
         for point in sweep.points:
             assert point.trial_count == 3
@@ -334,7 +330,7 @@ class TestSweeps:
         base = self._base()
         alphas = [0.75, 1.5, 1.0]
         baselines = tuple(s for s in base.kernel_candidates if s.family != kernels.FAMILY_CHT)
-        oracle = SweepResult(AXIS_ALPHA, tuple(
+        oracle = SweepResult(tuple(
             aggregate_point(a, run_comparison(
                 replace(base, kernel_candidates=(KernelSpec.cht(a), *baselines)), 3, jobs
             ))

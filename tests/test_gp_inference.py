@@ -447,7 +447,7 @@ class TestCredibleInterval:
         z = 1.959963984540054
         inside = total = 0
         for t in range(20):
-            truth = sample_gaussian_field(density, grid, derive_seed(314, t, 0))
+            truth = sample_gaussian_field(density, derive_seed(314, t, 0))
             obs = observe(truth, 60, 0.1, derive_seed(314, t, 1))
             post = fit_posterior(table, obs)
             half = z * np.sqrt(np.maximum(post.variance_field.values, 0.0))

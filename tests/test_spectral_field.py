@@ -34,7 +34,6 @@ class TestGridSpec:
     def test_basic_geometry(self):
         grid = GridSpec(16)
         assert grid.spacing * grid.n == pytest.approx(grid.domain_length, rel=1e-15)
-        assert grid.quadrature_weight == pytest.approx(grid.spacing**2)
         assert grid.synthesis_scale == 256.0
 
     @pytest.mark.parametrize("n", [7, 9, 15, 6, 2, 0])
@@ -82,10 +81,10 @@ class TestTransforms:
 
     def test_parseval(self, grid64):
         density = spectral_density(KernelSpec.cht(1.5), grid64)
-        field = sample_gaussian_field(density, grid64, seed=5)
+        field = sample_gaussian_field(density, seed=5)
         coeffs = to_spectral(field).coeffs
         spectral_sum = (2 * np.pi) ** 2 * np.sum(np.abs(coeffs) ** 2)
-        quadrature = grid64.quadrature_weight * np.sum(field.values**2)
+        quadrature = grid64.spacing**2 * np.sum(field.values**2)
         assert spectral_sum == pytest.approx(quadrature, rel=1e-10)
 
 
@@ -95,10 +94,9 @@ class TestSampling:
         zero = type(base)(
             spec=base.spec,
             grid=grid16,
-            normalization_constant=0.0,
             grid_values=np.zeros((16, 16)),
         )
-        field = sample_gaussian_field(zero, grid16, seed=1)
+        field = sample_gaussian_field(zero, seed=1)
         assert np.all(field.values == 0)
 
     def test_negative_density_rejected(self, grid16, cht_spec):
@@ -106,15 +104,15 @@ class TestSampling:
         values = np.array(base.grid_values)
         values[1, 0] = -1e-3
         bad = type(base)(
-            spec=base.spec, grid=grid16, normalization_constant=1.0, grid_values=values
+            spec=base.spec, grid=grid16, grid_values=values
         )
         with pytest.raises(ValueError):
-            sample_gaussian_field(bad, grid16, seed=1)
+            sample_gaussian_field(bad, seed=1)
 
     def test_deterministic_for_fixed_seed(self, grid16, cht_spec):
         density = spectral_density(cht_spec, grid16)
-        a = sample_gaussian_field(density, grid16, seed=9)
-        b = sample_gaussian_field(density, grid16, seed=9)
+        a = sample_gaussian_field(density, seed=9)
+        b = sample_gaussian_field(density, seed=9)
         assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.5])
@@ -122,7 +120,7 @@ class TestSampling:
     def test_hermitian_real_and_mean_zero(self, alpha, n):
         grid = GridSpec(n)
         density = spectral_density(KernelSpec.cht(alpha), grid)
-        field = sample_gaussian_field(density, grid, seed=7)
+        field = sample_gaussian_field(density, seed=7)
         rms = field.rms()
         assert abs(field.values.mean()) <= 1e-10 * rms
         coeffs = to_spectral(field).coeffs
@@ -140,11 +138,11 @@ class TestSampling:
         everywhere[0, 0] = 0.0
         densities = [spectral_density(spec, grid)
                      for spec in (KernelSpec.cht(1.5), KernelSpec.rbf(0.3))]
-        densities.append(SpectralDensity(KernelSpec.cht(1.5), grid, 1.0, everywhere))
+        densities.append(SpectralDensity(KernelSpec.cht(1.5), grid, everywhere))
         for density in densities:
             for seed in (0, 1, 7, 2**40 + 3):
-                got = sample_gaussian_field(density, grid, seed).values
-                want = mask_sample_gaussian_field(density, grid, seed).values
+                got = sample_gaussian_field(density, seed).values
+                want = mask_sample_gaussian_field(density, seed).values
                 assert got.tobytes() == want.tobytes()
 
     def test_sampling_keeps_at_most_five_fields_of_memory(self):
@@ -153,10 +151,10 @@ class TestSampling:
         n = 128
         grid = GridSpec(n)
         density = spectral_density(KernelSpec.cht(1.5), grid)
-        sample_gaussian_field(density, grid, 1)
+        sample_gaussian_field(density, 1)
         tracemalloc.start()
         try:
-            sample_gaussian_field(density, grid, 1)
+            sample_gaussian_field(density, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -167,7 +165,7 @@ class TestSampling:
         samples = 4000
         acc = np.zeros((16, 16))
         for s in range(samples):
-            field = sample_gaussian_field(density, grid16, seed=10_000 + s)
+            field = sample_gaussian_field(density, seed=10_000 + s)
             acc += np.abs(to_spectral(field).coeffs) ** 2
         acc /= samples
         # relative MC error of a chi-square mean is ~ sqrt(2/samples)
@@ -181,7 +179,7 @@ class TestSampling:
         density = spectral_density(KernelSpec.cht(1.5), grid)
         exps = []
         for seed in range(3):
-            field = sample_gaussian_field(density, grid, seed=100 + seed)
+            field = sample_gaussian_field(density, seed=100 + seed)
             fit = fit_power_law(radial_spectrum(field), 4, 32, use_sum=True)
             exps.append(fit.exponent)
         assert np.mean(exps) == pytest.approx(-4.0, abs=0.4)
@@ -211,7 +209,7 @@ class TestBiotSavart:
         density = spectral_density(KernelSpec.cht(1.5), grid)
         fx, fy = grid.frequency_grids()
         for seed in range(3):
-            field = sample_gaussian_field(density, grid, seed=200 + seed)
+            field = sample_gaussian_field(density, seed=200 + seed)
             w_hat = to_spectral(field)
             u1_hat, u2_hat = biot_savart_spectral(w_hat)
             div = fx * u1_hat.coeffs + fy * u2_hat.coeffs
@@ -231,7 +229,7 @@ class TestBiotSavart:
         # the example above, over grid sizes, exponents and draws
         assert check_admissible(alpha, 1.0)
         grid = GridSpec(n)
-        field = sample_gaussian_field(spectral_density(KernelSpec.cht(alpha), grid), grid, seed)
+        field = sample_gaussian_field(spectral_density(KernelSpec.cht(alpha), grid), seed)
         u1_hat, u2_hat = biot_savart_spectral(to_spectral(field))
         fx, fy = grid.frequency_grids()
         assert np.all(fx * u1_hat.coeffs + fy * u2_hat.coeffs == 0.0)
@@ -262,7 +260,7 @@ class TestRadialSpectrum:
 
     def test_sum_equals_avg_times_count(self, grid64):
         density = spectral_density(KernelSpec.cht(1.0), grid64)
-        field = sample_gaussian_field(density, grid64, seed=3)
+        field = sample_gaussian_field(density, seed=3)
         est = radial_spectrum(field)
         assert np.allclose(
             est.shell_sum_power, est.shell_avg_power * est.mode_count, rtol=1e-12
@@ -281,12 +279,11 @@ class TestRadialSpectrum:
         flat = SpectralDensity(
             spec=KernelSpec.cht(1.0),
             grid=grid64,
-            normalization_constant=1.0,
             grid_values=values,
         )
         exps = []
         for seed in range(10):
-            field = sample_gaussian_field(flat, grid64, seed=300 + seed)
+            field = sample_gaussian_field(flat, seed=300 + seed)
             fit = fit_power_law(radial_spectrum(field), 4, 16, use_sum=False)
             exps.append(fit.exponent)
         assert abs(np.mean(exps)) < 0.1
@@ -301,7 +298,7 @@ class TestRadialSpectrum:
         power = np.zeros((128, 128))
         seeds = 5
         for s in range(seeds):
-            field = sample_gaussian_field(density, grid, seed=400 + s)
+            field = sample_gaussian_field(density, seed=400 + s)
             power += np.abs(to_spectral(field).coeffs) ** 2
         est = radial_spectrum_of_power(grid, power / seeds)
         fit = fit_power_law(est, 4, 32, use_sum=True)
@@ -374,7 +371,7 @@ class TestSpectrumExponentDifference:
             density = spectral_density(KernelSpec.cht(alpha), grid)
             power = np.zeros((128, 128))
             for s in range(5):
-                field = sample_gaussian_field(density, grid, seed=500 + s)
+                field = sample_gaussian_field(density, seed=500 + s)
                 power += np.abs(to_spectral(field).coeffs) ** 2
             est = radial_spectrum_of_power(grid, power / 5)
             fits[alpha] = fit_power_law(est, 4, 32, use_sum=True).exponent
