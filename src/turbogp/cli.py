@@ -20,7 +20,8 @@ when the command ends.  A library counts only when it exports both the
 BLAS build) the command runs unpinned.  The manifest's ``blas_threads``
 records the count in effect: 1, or null when unpinned.  Every value the
 command resolved (an exponent or a grid size taken from another parameter
-or from an input file) is echoed in the manifest as it was used.
+or from an input file) is echoed in the manifest as it was used, and a
+parameter the command ignored is echoed as null.
 
 A failing command writes nothing.  ``--out`` is created with its first file,
 which is written after the computation, so an unwritable ``--out`` is
@@ -372,6 +373,10 @@ def cmd_place_sensors(params: dict) -> None:
     axis = np.arange(0, grid.n, stride)
     candidates = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     picks = greedy_sensor_placement(table, empty, candidates, params["count"])
+    # placement draws nothing, and only the power-law prior reads alpha
+    params["seed"] = None
+    if params["kernel"] != FAMILY_CHT:
+        params["alpha"] = None
 
     rows = []
     for order, point in enumerate(picks):
@@ -412,6 +417,8 @@ def cmd_reconstruct(params: dict) -> None:
         truth_kind=params["truth"],
     )
     trial = Trial.draw(config, truth)
+    if truth is not None:  # the dump, not --truth and --alpha-true, gave the truth
+        params["truth"] = params["alpha_true"] = None
     score, post = trial.score(spec, jobs=params["jobs"])
     outdir = Path(params["out"])
     write_field_dump(outdir / "mean.json", post.mean_field, seed=params["seed"])

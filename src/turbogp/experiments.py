@@ -47,28 +47,15 @@ def derive_seed(master_seed: int, *path: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class VortexParams:
-    """Randomized superposition of periodic Gaussian vortex blobs.
-
-    The default radius range spans more than a decade of scales; a genuinely
-    multi-scale field is what separates power-law priors from a single
-    length-scale baseline in the reconstruction benchmark.
-    """
-
-    vortex_count: int = 12
-    radius_range: tuple[float, float] = (0.05, 0.9)
-    amplitude_range: tuple[float, float] = (0.5, 1.5)
-    sign_balance: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.vortex_count < 1:
-            raise ValueError("vortex_count must be at least 1")
-        lo, hi = self.radius_range
-        if not (0.0 < lo <= hi < np.pi):
-            raise ValueError("radius_range must lie inside (0, pi)")
-        if not (0.0 <= self.sign_balance <= 1.0):
-            raise ValueError("sign_balance must lie in [0, 1]")
+#: The vortex truth: a superposition of periodic Gaussian blobs whose radii
+#: span more than a decade of scales.  A genuinely multi-scale field is what
+#: separates power-law priors from a single length-scale baseline in the
+#: reconstruction benchmark.
+VORTEX_COUNT = 12
+VORTEX_RADIUS_RANGE = (0.05, 0.9)
+VORTEX_AMPLITUDE_RANGE = (0.5, 1.5)
+#: Probability that a blob is positive.
+VORTEX_SIGN_BALANCE = 0.5
 
 
 TRUTH_GAUSSIAN = "gaussian"
@@ -150,9 +137,7 @@ def generate_cht_truth(alpha: float, grid: GridSpec, seed: int) -> RealField:
     return RealField(grid, _unit_variance(raw.values))
 
 
-def vortex_superposition(
-    params: VortexParams, grid: GridSpec, seed: int
-) -> np.ndarray:
+def vortex_superposition(grid: GridSpec, seed: int) -> np.ndarray:
     """Raw (pre-normalization) sum of periodic Gaussian blobs."""
     rng = np.random.default_rng(seed)
     coords = grid.coordinates()
@@ -160,11 +145,11 @@ def vortex_superposition(
     x2 = coords[None, :]
     values = np.zeros((grid.n, grid.n))
     length = grid.domain_length
-    for _ in range(params.vortex_count):
+    for _ in range(VORTEX_COUNT):
         center = rng.uniform(0.0, length, size=2)
-        radius = rng.uniform(*params.radius_range)
-        amplitude = rng.uniform(*params.amplitude_range)
-        sign = 1.0 if rng.uniform() < params.sign_balance else -1.0
+        radius = rng.uniform(*VORTEX_RADIUS_RANGE)
+        amplitude = rng.uniform(*VORTEX_AMPLITUDE_RANGE)
+        sign = 1.0 if rng.uniform() < VORTEX_SIGN_BALANCE else -1.0
         d1 = np.abs(x1 - center[0])
         d1 = np.minimum(d1, length - d1)
         d2 = np.abs(x2 - center[1])
@@ -173,9 +158,9 @@ def vortex_superposition(
     return values
 
 
-def generate_vortex_truth(params: VortexParams, grid: GridSpec, seed: int) -> RealField:
+def generate_vortex_truth(grid: GridSpec, seed: int) -> RealField:
     """Non-Gaussian vortex field, mean-removed and rescaled to unit variance."""
-    values = vortex_superposition(params, grid, seed)
+    values = vortex_superposition(grid, seed)
     values = values - values.mean()
     return RealField(grid, _unit_variance(values))
 
@@ -203,12 +188,11 @@ def observe(truth: RealField, m: int, noise_ratio: float, seed: int) -> Observat
 
 
 def generate_truth(kind: str, alpha_true: float, grid: GridSpec, seed: int) -> RealField:
-    """Unit-variance truth of ``kind``: a power-law sample or a default
-    :class:`VortexParams` vortex field."""
+    """Unit-variance truth of ``kind``: a power-law sample or a vortex field."""
     if kind == TRUTH_GAUSSIAN:
         return generate_cht_truth(alpha_true, grid, seed)
     if kind == TRUTH_VORTEX:
-        return generate_vortex_truth(VortexParams(), grid, seed)
+        return generate_vortex_truth(grid, seed)
     raise ValueError(f"unknown truth kind {kind!r}")
 
 

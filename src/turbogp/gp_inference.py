@@ -45,7 +45,7 @@ from .kernels import (
     robust_cholesky,
     spectral_density,
 )
-from .spectral_field import GridSpec, RealField, SpectralField, to_physical
+from .spectral_field import GridSpec, RealField, _real_synthesis
 
 #: Greedy placement counts posterior variances within this fraction of the
 #: prior variance of the maximum as tied.  Rank-1 updates can round
@@ -344,9 +344,9 @@ def normal_quantile(level: float) -> float:
     return float(_std_normal.ppf(0.5 + 0.5 * level))
 
 
-def _power_table(grid: GridSpec, density_values: np.ndarray, power: int) -> np.ndarray:
-    coeffs = (density_values**power).astype(np.complex128)
-    return to_physical(SpectralField(grid, coeffs)).values
+def _power_table(density_values: np.ndarray, power: int) -> np.ndarray:
+    """Physical-space table of the density raised to ``power``, from its rows 0..n/2."""
+    return _real_synthesis(density_values[: density_values.shape[0] // 2 + 1] ** power)
 
 
 def energy_variance(post: Posterior) -> float:
@@ -360,8 +360,8 @@ def energy_variance(post: Posterior) -> float:
     grid = post.kernel.grid
     dens = spectral_density(post.kernel.spec, grid).grid_values
     prior_term = float(np.sum(dens**2))
-    t2 = _power_table(grid, dens, 2)
-    t3 = _power_table(grid, dens, 3)
+    t2 = _power_table(dens, 2)
+    t3 = _power_table(dens, 3)
     pairs = post.obs.pair_index(grid.n)
     t2_pairs = np.take(t2, pairs.flat)
     t3_pairs = np.take(t3, pairs.flat)

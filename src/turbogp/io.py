@@ -97,12 +97,13 @@ def write_manifest(
     wall_time_s: float,
     blas_threads: Optional[int],
 ) -> None:
-    """``manifest.json``; ``master_seed`` is ``config_echo["seed"]`` and
-    ``blas_threads`` the OpenBLAS thread count in effect, None if unpinned."""
+    """``manifest.json``; ``master_seed`` is ``config_echo["seed"]``, None for
+    a command that draws nothing, and ``blas_threads`` the OpenBLAS thread
+    count in effect, None if unpinned."""
     write_json(Path(outdir) / "manifest.json", {
         "command": command,
         "config_echo": config_echo,
-        "master_seed": int(config_echo["seed"]),
+        "master_seed": config_echo["seed"],
         "tool_version": __version__,
         "csv_schema_version": CSV_SCHEMA_VERSION,
         "wall_time_s": wall_time_s,

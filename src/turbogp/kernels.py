@@ -16,7 +16,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .spectral_field import GridSpec, SpectralField, mirror_indices, to_physical
+from .spectral_field import GridSpec, _real_synthesis, mirror_indices
 
 FAMILY_CHT = "cht"
 FAMILY_RBF = "rbf"
@@ -216,8 +216,8 @@ def build_kernel_table(spec: KernelSpec, grid: GridSpec) -> KernelTable:
 def _cached_kernel_table(spec: KernelSpec, grid: GridSpec) -> KernelTable:
     # the table is kept; the density it came from is not read again
     density = _normalized_density(spec, grid)
-    field = to_physical(SpectralField(grid, density.grid_values.astype(np.complex128)))
-    return KernelTable(grid=grid, values=_symmetrize_table(field.values), spec=spec)
+    values = _real_synthesis(density.grid_values[: grid.n // 2 + 1])
+    return KernelTable(grid=grid, values=_symmetrize_table(values), spec=spec)
 
 
 @dataclass(frozen=True, eq=False)

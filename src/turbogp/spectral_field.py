@@ -10,6 +10,13 @@ so physical values are ``n**2 * ifft2(coeffs)`` and coefficients are
 constant).  Under this convention the grid mean of w**2 equals
 ``sum_n |coeff(n)|**2``, and a stationary field with independent per-mode
 variances S(n) has covariance ``K(dx) = sum_n S(n) exp(i n . dx)``.
+
+Every field the package builds for itself (sampled truths, kernel tables,
+the tables of powers of a density) is synthesized from rows 0..n/2 of its
+Hermitian spectrum by one real inverse transform, so it is real by
+construction.  :func:`to_physical` is the checked path, for coefficients
+that come from outside (velocity recovery, the curl, library callers): it
+transforms the whole lattice and rejects a result that is not real.
 """
 
 from __future__ import annotations
@@ -126,15 +133,12 @@ def to_spectral(field: RealField) -> SpectralField:
 def to_physical(field: SpectralField) -> RealField:
     """Inverse transform to a real field.
 
-    Raises if the coefficients are not Hermitian-symmetric enough for the
-    result to be real (max imaginary part above ``REALITY_TOL`` x RMS).
+    The checked path for coefficients from outside the package: raises if
+    they are not Hermitian-symmetric enough for the result to be real (max
+    imaginary part above ``REALITY_TOL`` x RMS).
     """
-    return _real_field(np.fft.ifft2(field.coeffs), field.grid)
-
-
-def _real_field(values: np.ndarray, grid: GridSpec) -> RealField:
-    """``values``, an inverse DFT that is overwritten, as a checked real field."""
-    values *= grid.synthesis_scale
+    values = np.fft.ifft2(field.coeffs)
+    values *= field.grid.synthesis_scale
     rms = float(np.sqrt(np.mean(values.real**2)))
     max_imag = float(np.max(np.abs(values.imag)))
     if max_imag > REALITY_TOL * rms:
@@ -142,59 +146,59 @@ def _real_field(values: np.ndarray, grid: GridSpec) -> RealField:
             f"inverse transform is not real: max imag {max_imag:.3e} "
             f"exceeds {REALITY_TOL:g} x RMS ({rms:.3e})"
         )
-    return RealField(grid, values.real)
+    return RealField(field.grid, values.real)
+
+
+def _real_synthesis(half: np.ndarray) -> np.ndarray:
+    """Real ``n x n`` field whose Hermitian spectrum has rows 0..n/2 ``half``.
+
+    ``half`` is ``(n/2 + 1, n)``; the lower rows are its conjugate mirror and
+    are never formed.  Real by construction, so nothing is checked.
+    """
+    n = half.shape[1]
+    values = np.fft.irfft2(half, s=(n, n), axes=(1, 0))
+    values *= n * n
+    return values
 
 
 def sample_gaussian_field(density: "SpectralDensity", seed: int) -> RealField:
     """Draw a zero-mean stationary Gaussian field with per-mode variances S(n)
     on the density's grid.
 
-    Independent complex-normal coefficients are drawn on a canonical half
-    lattice and conjugate-mirrored; the four self-conjugate modes (both
-    index components in {0, n/2}) are forced real with full variance S(n).
-    Deterministic for a fixed seed.
+    Independent complex-normal coefficients are drawn on rows 0..n/2 of the
+    lattice, rows 0 and n/2 are conjugate-mirrored within themselves, and the
+    four self-conjugate modes (both index components in {0, n/2}) are forced
+    real with full variance S(n).  Deterministic for a fixed seed.
     """
     s = np.asarray(density.grid_values, dtype=np.float64)
     if np.any(s < 0):
         raise ValueError("per-mode variance must be nonnegative")
     if s[0, 0] != 0.0:
         raise ValueError("zero mode must carry no variance")
-    # ifft2 one axis at a time, so the coefficients are freed halfway
-    values = np.fft.ifft(_hermitian_draw(s, seed), axis=-1)
-    return _real_field(np.fft.ifft(values, axis=-2), density.grid)
+    return RealField(density.grid, _real_synthesis(_hermitian_half(s, seed)))
 
 
-def _hermitian_draw(s: np.ndarray, seed: int) -> np.ndarray:
-    """Hermitian DFT coefficients with per-mode variances ``s``, drawn from ``seed``.
+def _hermitian_half(s: np.ndarray, seed: int) -> np.ndarray:
+    """Rows 0..h (h = n/2) of Hermitian DFT coefficients with per-mode
+    variances ``s``, drawn from ``seed``.
 
-    For even n the canonical half lattice is rows 1..h-1 and columns 1..h-1
-    of rows 0 and h (h = n/2), so slices address it and its conjugate
-    mirror (j1, j2) -> (-j1 % n, -j2 % n) without index arrays.
+    The real parts are drawn on the whole lattice, since that draw advances
+    the stream before the imaginary parts, which are drawn on rows 0..h only:
+    both equal the first rows of full ``n x n`` draws.
     """
     n = s.shape[0]
     h = n // 2
     rng = np.random.default_rng(seed)
-    re = rng.standard_normal((n, n))
-    im = rng.standard_normal((n, n))
-
-    coeffs = np.empty((n, n), dtype=np.complex128)
-    # rows 0 and h are filled whole here, (re + 1j im) sqrt(s / 2) computed in
-    # place and each draw freed once folded in, so few n x n arrays are alive
-    # at once; their mirrored and self-conjugate columns are overwritten below
-    half = coeffs[: h + 1]
-    np.multiply(im[: h + 1], 1j, out=half)
-    del im
-    half += re[: h + 1]
+    re = rng.standard_normal((n, n))[: h + 1]
+    half = np.multiply(rng.standard_normal((h + 1, n)), 1j)
+    half += re
     half *= np.sqrt(s[: h + 1] / 2.0)
     for row in (0, h):
         for col in (0, h):
-            coeffs[row, col] = re[row, col] * np.sqrt(s[row, col])
-    del re
-    np.conj(coeffs[h - 1 : 0 : -1][:, mirror_indices(n)], out=coeffs[h + 1 :])
-    for row in (0, h):
-        coeffs[row, h + 1 :] = np.conj(coeffs[row, h - 1 : 0 : -1])
-    coeffs[0, 0] = 0.0
-    return coeffs
+            half[row, col] = re[row, col] * np.sqrt(s[row, col])
+        half[row, h + 1 :] = np.conj(half[row, h - 1 : 0 : -1])
+    half[0, 0] = 0.0
+    return half
 
 
 def _round_mantissa(values: np.ndarray, keep_bits: int) -> np.ndarray:

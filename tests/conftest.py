@@ -6,8 +6,8 @@ from hypothesis import settings
 
 from turbogp import GridSpec, KernelSpec, ObservationSet, build_kernel_table, fit_posterior
 from turbogp.gp_inference import VARIANCE_TIE_RTOL
-from turbogp.kernels import raw_density
-from turbogp.spectral_field import SpectralField, mirror_indices, to_physical
+from turbogp.kernels import raw_density, truncation_mask
+from turbogp.spectral_field import RealField, _real_synthesis, mirror_indices
 
 # Shared CPUs stall at random, so per-example deadlines are off; derandomized
 # examples make every run test the same cases and need no example database.
@@ -57,6 +57,20 @@ def direct_kernel_sum(spec, dx, truncation):
     weights = raw_density(spec, ksq[keep].astype(np.float64))
     phases = n1[keep] * dx[0] + n2[keep] * dx[1]
     return float(spec.variance * np.sum(weights * np.cos(phases)) / np.sum(weights))
+
+
+def ou_stationary_variance(beta, gamma, grid):
+    """Per-mode stationary variance of the paper's linear OU model on the
+    truncated lattice, unnormalized.
+
+    dw = -(-Laplacian)^gamma w dt + Q^(1/2) dW, where Q has eigenvalue
+    |k|^(-2 beta) on mode k, holds each mode at |k|^(-2 beta) / (2 |k|^(2 gamma)).
+    """
+    k = np.sqrt(grid.ksq_grid())
+    out = np.zeros_like(k)
+    keep = truncation_mask(grid)
+    out[keep] = k[keep] ** (-2.0 * beta) / (2.0 * k[keep] ** (2.0 * gamma))
+    return out
 
 
 def hermitian_defect(field):
@@ -155,12 +169,19 @@ def refit_greedy(table, obs, candidates, count):
 def mask_sample_gaussian_field(density, seed):
     """Reference Gaussian field sampler built from full-lattice boolean masks.
 
-    Draws the same normals as ``sample_gaussian_field`` and fills the same
-    coefficients with the same arithmetic, so the two agree bit for bit.
+    Draws the same normals as ``sample_gaussian_field``, fills the same
+    coefficients with the same arithmetic and synthesizes rows 0..n/2 of
+    them with the same helper, so the two agree bit for bit.
     """
+    n = density.grid.n
+    coeffs = mask_hermitian_coeffs(density, seed)
+    return RealField(density.grid, _real_synthesis(coeffs[: n // 2 + 1]))
+
+
+def mask_hermitian_coeffs(density, seed):
+    """The full ``n x n`` Hermitian coefficients of :func:`mask_sample_gaussian_field`."""
     s = np.asarray(density.grid_values, dtype=np.float64)
-    grid = density.grid
-    n = grid.n
+    n = density.grid.n
     rng = np.random.default_rng(seed)
     re = rng.standard_normal((n, n))
     im = rng.standard_normal((n, n))
@@ -177,4 +198,4 @@ def mask_sample_gaussian_field(density, seed):
     coeffs[m1[primary], m2[primary]] = np.conj(coeffs[primary])
     coeffs[self_conj] = re[self_conj] * np.sqrt(s[self_conj])
     coeffs[0, 0] = 0.0
-    return to_physical(SpectralField(grid, coeffs))
+    return coeffs

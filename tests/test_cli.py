@@ -610,6 +610,8 @@ class TestConfigAndEnvironment:
             expected = {param.name: param.default for param in COMMANDS[command].params}
             expected.update(config, **flag_values)
             expected.update(seed=config.get("seed", 0), out=str(out))
+            if command == "place-sensors":
+                expected["seed"] = None  # placement draws nothing
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["config_echo"] == json.loads(json.dumps(expected))
 
@@ -730,7 +732,7 @@ class TestParameterTable:
         monkeypatch.chdir(tmp_path)
         assert run_cli(command) == 0
         expected = {param.name: param.default for param in COMMANDS[command].params}
-        expected["seed"] = 0
+        expected["seed"] = None if command == "place-sensors" else 0  # placement draws nothing
         if command in ("compare", "reconstruct", "sweep-density"):
             expected["alpha"] = expected["alpha_true"]  # the cht exponent follows the truth
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -757,3 +759,24 @@ class TestManifestEcho:
         assert run_cli(command, *flags, "--jobs", "1", "--out", "out") == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["config_echo"][key] == want
+
+    @pytest.mark.parametrize("command,flags,nulls", [
+        ("reconstruct", ("--field", "field.json", "--m", "10"), ("truth", "alpha_true")),
+        ("place-sensors", ("--n", "16", "--count", "2", "--kernel", "rbf",
+                           "--length-scale", "0.5"), ("alpha", "seed")),
+        ("place-sensors", ("--n", "16", "--count", "2", "--kernel", "matern", "--nu", "1.5",
+                           "--length-scale", "0.5"), ("alpha", "seed")),
+        ("place-sensors", ("--n", "16", "--count", "2", "--seed", "5"), ("seed",)),
+    ], ids=["reconstruct_field", "place_rbf", "place_matern", "place_cht"])
+    def test_ignored_value_echoed_null(self, tmp_path, monkeypatch, command, flags, nulls):
+        # each used to echo its default (and place-sensors the seed it never read)
+        monkeypatch.chdir(tmp_path)
+        field = np.random.default_rng(0).standard_normal((32, 32))
+        write_field_dump("field.json", RealField(GridSpec(32), field))
+        assert run_cli(command, *flags, "--out", "out") == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        for key in nulls:
+            assert manifest["config_echo"][key] is None
+        assert manifest["master_seed"] == manifest["config_echo"]["seed"]
+        if command == "place-sensors" and "alpha" not in nulls:
+            assert manifest["config_echo"]["alpha"] == 1.5

@@ -14,7 +14,6 @@ from turbogp import (
     KernelSpec,
     ObservationSet,
     TrialConfig,
-    VortexParams,
     generate_cht_truth,
     generate_vortex_truth,
     observe,
@@ -65,22 +64,12 @@ class TestGaussianTruth:
 
 
 class TestVortexTruth:
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            VortexParams(vortex_count=0)
-        with pytest.raises(ValueError):
-            VortexParams(radius_range=(0.0, 0.5))
-        with pytest.raises(ValueError):
-            VortexParams(radius_range=(0.5, 3.5))
-        with pytest.raises(ValueError):
-            VortexParams(sign_balance=1.5)
-
-    def test_single_vortex_peaks_near_center(self, grid64):
-        params = VortexParams(
-            vortex_count=1, amplitude_range=(1.0, 1.0), sign_balance=1.0
-        )
+    def test_single_vortex_peaks_near_center(self, grid64, monkeypatch):
+        monkeypatch.setattr(experiments, "VORTEX_COUNT", 1)
+        monkeypatch.setattr(experiments, "VORTEX_AMPLITUDE_RANGE", (1.0, 1.0))
+        monkeypatch.setattr(experiments, "VORTEX_SIGN_BALANCE", 1.0)
         seed = 21
-        raw = vortex_superposition(params, grid64, seed)
+        raw = vortex_superposition(grid64, seed)
         # reproduce the center draw to locate the blob
         rng = np.random.default_rng(seed)
         center = rng.uniform(0.0, 2 * np.pi, size=2)
@@ -96,14 +85,14 @@ class TestVortexTruth:
         assert max(dist) <= 1
 
     def test_mean_zero_unit_variance(self, grid64):
-        field = generate_vortex_truth(VortexParams(), grid64, 5)
+        field = generate_vortex_truth(grid64, 5)
         assert abs(field.values.mean()) < 1e-12
         assert np.mean(field.values**2) == pytest.approx(1.0, abs=1e-12)
 
     def test_non_gaussian_witness(self):
         grid = GridSpec(128)
         excess = [
-            kurtosis(generate_vortex_truth(VortexParams(), grid, s).values.ravel())
+            kurtosis(generate_vortex_truth(grid, s).values.ravel())
             for s in range(20)
         ]
         assert np.mean(excess) > 0.5
@@ -147,7 +136,7 @@ class TestGenerateTruth:
         assert np.array_equal(generate_truth(TRUTH_GAUSSIAN, 1.5, grid64, 7).values,
                               generate_cht_truth(1.5, grid64, 7).values)
         assert np.array_equal(generate_truth(TRUTH_VORTEX, 1.5, grid64, 7).values,
-                              generate_vortex_truth(VortexParams(), grid64, 7).values)
+                              generate_vortex_truth(grid64, 7).values)
 
     def test_unknown_kind_rejected(self, grid64):
         with pytest.raises(ValueError, match="truth kind"):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import direct_kernel_sum
+from conftest import direct_kernel_sum, ou_stationary_variance
 from turbogp import (
     GridSpec,
     KernelSpec,
@@ -381,3 +381,32 @@ class TestAdmissibility:
                 assert check_admissible(float(atxt), float(gtxt)) == expected, (
                     f"gamma={gtxt} alpha={atxt}"
                 )
+
+
+#: (beta, gamma) points with gamma in (2/3, 1] and beta + gamma > 1; beta
+#: 1.4 at gamma 0.8 puts alpha on the admissibility boundary 2 - gamma
+OU_POINTS = [(b, g) for g in ("0.7", "0.8", "0.9", "1") for b in ("0.5", "1", "1.4", "1.5", "2.5")
+             if Fraction(b) + Fraction(g) > 1]
+
+
+class TestOUPrior:
+    """The cht prior is the stationary law of the paper's OU model: forcing
+    exponent beta under dissipation exponent gamma gives alpha = beta + gamma - 1."""
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_normalized_ou_variance_is_the_cht_density(self, n):
+        grid = GridSpec(n)
+        for btxt, gtxt in OU_POINTS:
+            beta, gamma = float(btxt), float(gtxt)
+            ou = ou_stationary_variance(beta, gamma, grid)
+            want = spectral_density(KernelSpec.cht(beta + gamma - 1), grid).grid_values
+            np.testing.assert_allclose(ou / ou.sum(), want, rtol=1e-12, atol=0,
+                                       err_msg=f"beta={btxt} gamma={gtxt}")
+
+    def test_admissibility_follows_criterion_11(self):
+        for btxt, gtxt in OU_POINTS:
+            g = Fraction(gtxt)
+            a = Fraction(btxt) + g - 1
+            expected = (a > 0) if g == 1 else (a > 2 - g)
+            got = check_admissible(float(btxt) + float(gtxt) - 1, float(gtxt))
+            assert got == expected, f"beta={btxt} gamma={gtxt}"

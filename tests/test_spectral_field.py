@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import hermitian_defect, mask_sample_gaussian_field
+from conftest import hermitian_defect, mask_hermitian_coeffs, mask_sample_gaussian_field
 from turbogp import (
     GridSpec,
     KernelSpec,
@@ -88,6 +88,21 @@ class TestTransforms:
         assert spectral_sum == pytest.approx(quadrature, rel=1e-10)
 
 
+def _sampler_cases(n):
+    """(density, seed) pairs that the sampler is checked against its oracles on."""
+    from turbogp.kernels import SpectralDensity
+
+    grid = GridSpec(n)
+    # the family densities leave the Nyquist row and column empty; the
+    # last density puts variance on every mode but the zero mode
+    everywhere = np.random.default_rng(n).uniform(0.5, 1.5, size=(n, n))
+    everywhere[0, 0] = 0.0
+    densities = [spectral_density(spec, grid)
+                 for spec in (KernelSpec.cht(1.5), KernelSpec.rbf(0.3))]
+    densities.append(SpectralDensity(KernelSpec.cht(1.5), grid, everywhere))
+    return [(density, seed) for density in densities for seed in (0, 1, 7, 2**40 + 3)]
+
+
 class TestSampling:
     def test_zero_density_gives_zero_field(self, grid16, cht_spec):
         base = spectral_density(cht_spec, grid16)
@@ -129,25 +144,25 @@ class TestSampling:
 
     @pytest.mark.parametrize("n", [8, 16, 64, 128])
     def test_bit_identical_to_mask_sampler(self, n):
-        from turbogp.kernels import SpectralDensity
+        for density, seed in _sampler_cases(n):
+            got = sample_gaussian_field(density, seed).values
+            want = mask_sample_gaussian_field(density, seed).values
+            assert got.tobytes() == want.tobytes()
 
-        grid = GridSpec(n)
-        # the family densities leave the Nyquist row and column empty; the
-        # last density puts variance on every mode but the zero mode
-        everywhere = np.random.default_rng(n).uniform(0.5, 1.5, size=(n, n))
-        everywhere[0, 0] = 0.0
-        densities = [spectral_density(spec, grid)
-                     for spec in (KernelSpec.cht(1.5), KernelSpec.rbf(0.3))]
-        densities.append(SpectralDensity(KernelSpec.cht(1.5), grid, everywhere))
-        for density in densities:
-            for seed in (0, 1, 7, 2**40 + 3):
-                got = sample_gaussian_field(density, seed).values
-                want = mask_sample_gaussian_field(density, seed).values
-                assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("n", [8, 16, 64, 128])
+    def test_matches_checked_full_lattice_synthesis(self, n):
+        # independent of the half-spectrum helper: the oracle's full lattice
+        # of coefficients through ifft2 and the realness check of to_physical
+        for density, seed in _sampler_cases(n):
+            got = sample_gaussian_field(density, seed)
+            coeffs = mask_hermitian_coeffs(density, seed)
+            want = to_physical(SpectralField(density.grid, coeffs))
+            assert np.max(np.abs(got.values - want.values)) <= 1e-14 * want.rms()
 
-    def test_sampling_keeps_at_most_five_fields_of_memory(self):
-        # the two normal draws and the complex coefficients (two fields' worth)
-        # set the floor; temporaries and copies of the coefficients add to it
+    def test_sampling_keeps_at_most_four_fields_of_memory(self):
+        # 3.54 fields at the half-spectrum sampler: its synthesis holds the
+        # half-lattice coefficients, their transform along rows and the
+        # output field (a field each) at once
         n = 128
         grid = GridSpec(n)
         density = spectral_density(KernelSpec.cht(1.5), grid)
@@ -158,7 +173,7 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5.25 * n * n * 8
+        assert peak < 4 * n * n * 8
 
     def test_per_mode_variance_matches_density(self, grid16, cht_spec):
         density = spectral_density(cht_spec, grid16)
