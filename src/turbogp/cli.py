@@ -298,6 +298,8 @@ def cmd_compare(params: dict) -> None:
     alpha = params["alpha"]
     _check_alpha_gamma(alpha, params["gamma"])
     base = _trial_config(params, alpha, params["m"], truth_kind=params["truth"])
+    if params["truth"] != TRUTH_GAUSSIAN:  # a vortex truth reads no alpha_true
+        params["alpha_true"] = None
     results = run_comparison(base, params["trials"], jobs=params["jobs"])
     outdir = Path(params["out"])
     write_csv(
@@ -373,10 +375,10 @@ def cmd_place_sensors(params: dict) -> None:
     axis = np.arange(0, grid.n, stride)
     candidates = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     picks = greedy_sensor_placement(table, empty, candidates, params["count"])
-    # placement draws nothing, and only the power-law prior reads alpha
+    # placement draws nothing, and only the power-law prior reads alpha and gamma
     params["seed"] = None
     if params["kernel"] != FAMILY_CHT:
-        params["alpha"] = None
+        params["alpha"] = params["gamma"] = None
 
     rows = []
     for order, point in enumerate(picks):
@@ -418,7 +420,11 @@ def cmd_reconstruct(params: dict) -> None:
     )
     trial = Trial.draw(config, truth)
     if truth is not None:  # the dump, not --truth and --alpha-true, gave the truth
-        params["truth"] = params["alpha_true"] = None
+        params["truth"] = None
+    if params["truth"] != TRUTH_GAUSSIAN:  # a dump or a vortex reads no alpha_true
+        params["alpha_true"] = None
+    if params["kernel"] != FAMILY_CHT:  # only the power-law prior reads alpha and gamma
+        params["alpha"] = params["gamma"] = None
     score, post = trial.score(spec, jobs=params["jobs"])
     outdir = Path(params["out"])
     write_field_dump(outdir / "mean.json", post.mean_field, seed=params["seed"])

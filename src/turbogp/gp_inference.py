@@ -8,9 +8,9 @@ of m squared such convolutions, one per row of the inverse Gram factor L^-1.
 Those rows are solved a block at a time, so L^-1 is never held whole;
 :attr:`Posterior.jobs` threads convolve them in reused buffers and the
 calling thread adds the squares up in row order.  No ``m x n^2``
-cross-covariance is formed.  Greedy sensor placement runs the same sum on
-the coarsest sublattice holding its candidates, extends it by one row per
-pick, and keeps no ``count x candidates`` block.
+cross-covariance is formed.  Greedy sensor placement subtracts the same
+squares at its candidates, one row of L^-1 at a time on the coarsest
+sublattice holding them, and keeps no ``count x candidates`` block.
 A fitted posterior holds only the ``m x m`` Gram factor and the weights;
 fields are computed when first read.  An empty observation set takes the
 same path: its 0 x 0 factor leaves the prior.
@@ -169,39 +169,6 @@ def _inverse_rows(chol: np.ndarray) -> Iterator[np.ndarray]:
         del block  # from here only the rows drawn from it keep it alive
 
 
-def _squared_convolution_sum(
-    spectrum: np.ndarray, flat: np.ndarray, rows: Iterable[np.ndarray], n: int, jobs: int
-) -> np.ndarray:
-    """``sum_j (sum_i rows[j][i] K(x - x_i))^2`` at every x of an n x n torus.
-
-    Each row is a task on ``jobs`` threads (:func:`_ordered_map`).  A task
-    convolves in its thread's one complex buffer and squares into a real
-    grid from a free list; the calling thread adds the squares up in row
-    order, so the sum's bytes do not depend on ``jobs``, and returns each
-    grid to the list.  At most ``jobs + 1`` grids are ever made, none when
-    there are no rows.
-    """
-    reduction = np.zeros((n, n))
-    scratch = threading.local()
-    free: list[np.ndarray] = []
-
-    def squared_row(row: np.ndarray) -> np.ndarray:
-        buffer = getattr(scratch, "buffer", None)
-        if buffer is None:
-            buffer = scratch.buffer = _new_buffer(n)
-        try:
-            out = free.pop()
-        except IndexError:
-            out = np.empty((n, n))
-        values = _convolve_deltas(spectrum, flat, row, out, buffer)
-        return np.square(values, out=values)
-
-    for squared in _ordered_map(squared_row, rows, jobs):
-        reduction += squared
-        free.append(squared)
-    return reduction
-
-
 @dataclass(frozen=True)
 class Posterior:
     """Factorized GP posterior over the full grid.
@@ -242,9 +209,24 @@ class Posterior:
         # sigma^2 - ||L^-1 k(x)||^2, where row j of L^-1 k(x) is a convolution
         n = self.kernel.grid.n
         flat = _flat_indices(self.obs.locations, n)
-        reduction = _squared_convolution_sum(
-            self.kernel.spectrum, flat, _inverse_rows(self.chol), n, self.jobs
-        )
+        reduction = np.zeros((n, n))
+        scratch = threading.local()
+        free: list[np.ndarray] = []
+
+        def squared_row(row: np.ndarray) -> np.ndarray:
+            buffer = getattr(scratch, "buffer", None)
+            if buffer is None:
+                buffer = scratch.buffer = _new_buffer(n)
+            try:  # two threads can race for the last free grid
+                out = free.pop()
+            except IndexError:
+                out = np.empty((n, n))
+            values = _convolve_deltas(self.kernel.spectrum, flat, row, out, buffer)
+            return np.square(values, out=values)
+
+        for squared in _ordered_map(squared_row, _inverse_rows(self.chol), self.jobs):
+            reduction += squared
+            free.append(squared)
         return np.subtract(self.kernel.spec.variance, reduction, out=reduction)
 
     @cached_property
@@ -387,21 +369,19 @@ def greedy_sensor_placement(
     ``VARIANCE_TIE_RTOL`` (1e-12) times the prior variance of the maximum
     count as tied, and ties break toward the lowest linear grid index.
 
-    The candidates start at the observations' posterior variance: sigma^2
-    minus the squared convolutions of the rows of L^-1 with the kernel, for
-    the Cholesky factor L of the noisy Gram matrix, summed as for
-    :attr:`Posterior.variance_field` but on the sublattice below.  A
-    pick p extends L by a row ``(l, d)`` and L^-1 by the row ``(-w, 1) / d``
-    with ``w = L^-T l``, and lowers every candidate c by the square of that
-    row's convolution, ``(k(c - p) - sum_q w_q k(c - q)) / d`` over the
-    conditioned points q: one FFT convolution of ``rank + 1`` weighted
-    deltas, read at the candidates.  It runs on the coarsest sublattice that
-    holds every candidate and observation, of step ``gcd(n, every
-    coordinate offset)``, where the kernel is the table sampled every
-    ``step`` points, and the starting variances and every pick's row are
-    convolved there.  Memory is O(n^2 + (m + count)^2), against
-    O(count x candidates) when the rows of L^-1 K(points, candidates) were
-    kept; time is one convolution on the sublattice per pick.
+    A candidate c's variance is sigma^2 minus the squares of
+    ``sum_q r_q k(c - q)`` over the rows r of L^-1, for the Cholesky factor
+    L of the noisy Gram matrix of the conditioned points q.  From sigma^2,
+    each row lowers the candidates in one step: an FFT convolution of its
+    weighted deltas, read at the candidates, squared and subtracted.  The
+    rows of the observations' (jittered) factor go first; a pick p extends
+    L by a row ``(l, d)`` and L^-1 by the row ``(-w, 1) / d`` with
+    ``w = L^-T l``.  All of it runs on the coarsest sublattice that holds
+    every candidate and observation, of step ``gcd(n, every coordinate
+    offset)``, whose kernel is the table sampled every ``step`` points.
+    L^-1 is one ``(m + count)^2`` block and the rows share one grid and one
+    transform buffer: memory is O(n^2 + (m + count)^2), time one sublattice
+    convolution per row.
     """
     cands = np.asarray(candidates, dtype=np.int64).reshape(-1, 2)
     if count < 1:
@@ -419,10 +399,13 @@ def greedy_sensor_placement(
 
     sigma2 = kernel.spec.variance
     tol = VARIANCE_TIE_RTOL * sigma2
-    noise = obs.noise_variance
     m = obs.m
+    # L^-1: the observations' rows, then one row per pick that enters the factor
     chol, _ = _factorized_gram(kernel, obs)
-    inverse = solve_triangular(chol, np.eye(m), lower=True)
+    inverse = np.zeros((m + count, m + count))
+    for row, weights in enumerate(_inverse_rows(chol)):
+        inverse[row, : row + 1] = weights[: row + 1]
+    del chol
 
     # every point lies on the sublattice origin + step Z^2, a torus of side
     # n / step whose kernel is the table sampled every step points
@@ -442,40 +425,49 @@ def greedy_sensor_placement(
     # each pick that entered the factor
     nodes = np.empty((m + count, 2), dtype=np.int64)
     nodes[:m] = obs_off // step
-    reduction = _squared_convolution_sum(spectrum, _flat_indices(nodes[:m], side), inverse, side, 1)
-    variances = reduction.reshape(-1)[cand_flat]
-    del reduction
-    np.subtract(sigma2, variances, out=variances)
 
+    grid = np.empty((side, side))
+    buffer = _new_buffer(side)
+    # a row read at the candidates goes into the spent buffer's memory (its
+    # own array only when repeated candidates outnumber the sublattice), and
+    # the tie mask of a pick into the same bytes
+    spent = buffer.reshape(-1).view(np.float64)
+    gathered = spent[: len(cand_flat)] if len(cand_flat) <= len(spent) else np.empty(len(cand_flat))
+    tied = gathered.view(np.bool_)[: len(cand_flat)]
+    variances = np.full(len(cand_flat), sigma2)
+
+    def lower(row: int) -> None:
+        # row j of the lower triangular L^-1 weighs the first j + 1 points
+        values = _convolve_deltas(
+            spectrum, _flat_indices(nodes[: row + 1], side), inverse[row, : row + 1], grid, buffer
+        )
+        # every index is in range; the default mode="raise" would gather into
+        # a new array and copy it to out
+        np.take(values.reshape(-1), cand_flat, out=gathered, mode="clip")
+        np.subtract(variances, np.square(gathered, out=gathered), out=variances)
+
+    for row in range(m):
+        lower(row)
     selected: list[tuple[int, int]] = []
     rank = m
     for _ in range(count):
-        pick = int(np.argmax(variances >= variances.max() - tol))
+        pick = int(np.argmax(np.greater_equal(variances, variances.max() - tol, out=tied)))
         variances[pick] = -np.inf  # never picked again
         torus = divmod(int(cand_flat[pick]), side)
         nodes[rank] = torus
         selected.append(tuple((start + step * t) % n for start, t in zip(origin, torus)))
 
         # the factor's new row (ell, d), then the inverse factor's
-        ell = inverse @ _offset_gather(table, nodes[:rank], nodes[rank : rank + 1])[:, 0]
-        d_sq = sigma2 + noise - float(ell @ ell)
+        ell = inverse[:rank, :rank] @ _offset_gather(table, nodes[:rank], nodes[[rank]])[:, 0]
+        d_sq = sigma2 + obs.noise_variance - float(ell @ ell)
         if d_sq < -tol:
             raise FactorizationError("pseudo-observation update lost positivity")
         if d_sq <= tol:
             # a noiseless pick at a point already known exactly adds nothing
             continue
         d = np.sqrt(d_sq)
-        grown = np.zeros((rank + 1, rank + 1))
-        grown[:rank, :rank] = inverse
-        grown[rank, :rank] = -(ell @ inverse) / d
-        grown[rank, rank] = 1.0 / d
-        inverse = grown
+        inverse[rank, :rank] = -(ell @ inverse[:rank, :rank]) / d
+        inverse[rank, rank] = 1.0 / d
+        lower(rank)
         rank += 1
-        # fresh arrays, so the transform buffer is gone before the gather
-        flat = _flat_indices(nodes[:rank], side)
-        row = _convolve_deltas(
-            spectrum, flat, inverse[-1], np.empty((side, side)), _new_buffer(side)
-        ).reshape(-1)[cand_flat]
-        np.square(row, out=row)
-        variances -= row
     return selected

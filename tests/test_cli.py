@@ -762,12 +762,19 @@ class TestManifestEcho:
 
     @pytest.mark.parametrize("command,flags,nulls", [
         ("reconstruct", ("--field", "field.json", "--m", "10"), ("truth", "alpha_true")),
+        ("reconstruct", ("--truth", "vortex", "--n", "16", "--m", "10"), ("alpha_true",)),
+        ("reconstruct", ("--truth", "vortex", "--n", "16", "--m", "10", "--kernel", "rbf"),
+         ("alpha_true", "gamma", "alpha")),
+        ("reconstruct", ("--n", "16", "--m", "10", "--kernel", "matern", "--nu", "1.5",
+                         "--length-scale", "0.5", "--alpha", "1.25"), ("gamma", "alpha")),
+        ("compare", ("--truth", "vortex", *SMALL), ("alpha_true",)),
         ("place-sensors", ("--n", "16", "--count", "2", "--kernel", "rbf",
-                           "--length-scale", "0.5"), ("alpha", "seed")),
+                           "--length-scale", "0.5"), ("alpha", "seed", "gamma")),
         ("place-sensors", ("--n", "16", "--count", "2", "--kernel", "matern", "--nu", "1.5",
-                           "--length-scale", "0.5"), ("alpha", "seed")),
+                           "--length-scale", "0.5"), ("alpha", "seed", "gamma")),
         ("place-sensors", ("--n", "16", "--count", "2", "--seed", "5"), ("seed",)),
-    ], ids=["reconstruct_field", "place_rbf", "place_matern", "place_cht"])
+    ], ids=["reconstruct_field", "reconstruct_vortex", "reconstruct_vortex_rbf",
+            "reconstruct_matern", "compare_vortex", "place_rbf", "place_matern", "place_cht"])
     def test_ignored_value_echoed_null(self, tmp_path, monkeypatch, command, flags, nulls):
         # each used to echo its default (and place-sensors the seed it never read)
         monkeypatch.chdir(tmp_path)
@@ -780,3 +787,4 @@ class TestManifestEcho:
         assert manifest["master_seed"] == manifest["config_echo"]["seed"]
         if command == "place-sensors" and "alpha" not in nulls:
             assert manifest["config_echo"]["alpha"] == 1.5
+            assert manifest["config_echo"]["gamma"] == 1.0

@@ -567,6 +567,31 @@ class TestGreedyPlacement:
         assert picks == refit_greedy(table, obs, candidates, 2)
         assert picks == dense_greedy(table, obs.locations, 0.0, candidates, 2)
 
+    def test_repeated_candidates_outnumbering_the_sublattice(self, grid8):
+        # three copies of one point make a one-point sublattice, whose
+        # transform buffer is too small to hold a row read at the candidates
+        table = build_kernel_table(KernelSpec.cht(1.5), grid8)
+        obs = ObservationSet(np.zeros((0, 2), dtype=np.int64), np.zeros(0), 0.01)
+        candidates = [(3, 5)] * 3
+        picks = greedy_sensor_placement(table, obs, candidates, 3)
+        assert picks == candidates
+        assert picks == refit_greedy(table, obs, candidates, 3)
+        assert picks == dense_greedy(table, obs.locations, 0.01, candidates, 3)
+
+    @pytest.mark.parametrize("spec", [KernelSpec.cht(1.5), KernelSpec.rbf(0.5)], ids=["cht", "rbf"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_many_observation_rows(self, grid16, spec, stride):
+        # 40 rows of the observations' L^-1 lower the candidates before the
+        # first pick, against at most 6 in the property test below
+        table = build_kernel_table(spec, grid16)
+        lattice = [(a, b) for a in range(0, 16, stride) for b in range(0, 16, stride)]
+        rng = np.random.default_rng(40)
+        locs = np.array(lattice)[rng.choice(len(lattice), size=40, replace=False)]
+        obs = ObservationSet(locs, np.zeros(40), 1e-6)
+        fast = greedy_sensor_placement(table, obs, lattice, 6)
+        assert fast == refit_greedy(table, obs, lattice, 6)
+        assert fast == dense_greedy(table, locs, 1e-6, lattice, 6)
+
     @given(
         n=st.sampled_from([8, 10, 12, 16]),
         spec=st.sampled_from(_PLACEMENT_SPECS),
@@ -618,21 +643,23 @@ class TestGreedyPlacement:
 
     def test_memory_does_not_grow_with_count(self, grid64):
         # the rows of L^-1 K(points, candidates) are not kept: 16 and 64 picks
-        # from the whole grid used to peak at 22 and 70 grids
+        # from the whole grid used to peak at 22 and 70 grids; what grows with
+        # the count is the (m + count)^2 block of L^-1, 1.4 grids at m = 20
         table = build_kernel_table(KernelSpec.cht(1.5), grid64)
-        obs = ObservationSet(np.zeros((0, 2), dtype=np.int64), np.zeros(0), 0.01)
         axis = np.arange(grid64.n)
         candidates = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        peaks = []
-        for count in (16, 64):
-            tracemalloc.start()
-            try:
-                greedy_sensor_placement(table, obs, candidates, count)
-                peaks.append(tracemalloc.get_traced_memory()[1] / (grid64.n**2 * 8))
-            finally:
-                tracemalloc.stop()
-        assert abs(peaks[1] - peaks[0]) < 2
-        assert max(peaks) < 16
+        for m in (0, 20):
+            obs = _random_obs(grid64, m, seed=64)
+            peaks = []
+            for count in (16, 64):
+                tracemalloc.start()
+                try:
+                    greedy_sensor_placement(table, obs, candidates, count)
+                    peaks.append(tracemalloc.get_traced_memory()[1] / (grid64.n**2 * 8))
+                finally:
+                    tracemalloc.stop()
+            assert abs(peaks[1] - peaks[0]) < 2, f"m={m}"
+            assert max(peaks) < 16, f"m={m}"
 
     def test_contraction_with_observation_count(self):
         grid = GridSpec(64)

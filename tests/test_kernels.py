@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from conftest import direct_kernel_sum, ou_stationary_variance
 from turbogp import (
@@ -18,7 +19,8 @@ from turbogp import (
     gram_matrix,
     spectral_density,
 )
-from turbogp.kernels import PairIndex, _offset_gather, raw_density
+from turbogp.kernels import PairIndex, _offset_gather, raw_density, truncation_mask
+from turbogp.spectral_field import radial_spectrum_of_power
 
 
 class TestKernelSpec:
@@ -410,3 +412,56 @@ class TestOUPrior:
             expected = (a > 0) if g == 1 else (a > 2 - g)
             got = check_admissible(float(btxt) + float(gtxt) - 1, float(gtxt))
             assert got == expected, f"beta={btxt} gamma={gtxt}"
+
+    @pytest.mark.parametrize("btxt,gtxt", [("1.5", "1"), ("1.25", "0.8")])
+    def test_simulated_ou_matches_the_cht_density(self, btxt, gtxt):
+        # Each active mode of the OU model, stepped by its exact discretisation
+        #   w <- e^(-lam dt) w + sqrt(q (1 - e^(-2 lam dt)) / (2 lam)) xi,
+        # lam = |k|^(2 gamma), q = |k|^(-2 beta), in 16 chains on a 32^2 grid
+        # from rest; xi is the FFT of real white noise over n, Hermitian with
+        # unit variance per mode.  Statistics start after 100 steps (t = 10).
+        beta, gamma = float(btxt), float(gtxt)
+        grid = GridSpec(32)
+        n, dt, lag, chains, burn, steps = grid.n, 0.1, 2, 16, 100, 1000
+        keep = truncation_mask(grid)
+        ksq = np.where(keep, grid.ksq_grid(), 1.0)
+        lam = ksq**gamma
+        decay = np.where(keep, np.exp(-lam * dt), 0.0)
+        kick = np.where(keep, np.sqrt(ksq**-beta * (1.0 - decay**2) / (2.0 * lam)), 0.0)
+        rng = np.random.default_rng(2025)
+        w = np.zeros((chains, n, n), dtype=np.complex128)
+        recent = []
+        power = np.zeros((n, n))
+        lagged = np.zeros((n, n))
+        for t in range(burn + steps):
+            w = decay * w + kick * np.fft.fft2(rng.standard_normal((chains, n, n))) / n
+            if t >= burn:
+                power += np.sum(np.abs(w) ** 2, axis=0)
+                if len(recent) == lag:
+                    lagged += np.sum((w * recent[0].conj()).real, axis=0)
+            recent = [*recent, w][-lag:]
+        samples = chains * steps
+
+        def shells(per_mode):
+            return radial_spectrum_of_power(grid, per_mode).shell_sum_power
+
+        density = spectral_density(KernelSpec.cht(beta + gamma - 1), grid).grid_values
+        simulated, want = shells(power / samples), shells(density)
+        # |w_k|^2 of a conjugate pair (every mode of shells 1..15) has variance
+        # v_k^2 and lag-1 correlation e^(-2 lam dt), so a shell's sum averaged
+        # over the samples has the variance below; the scale of the unnormalized
+        # OU variances is fitted by weighted least squares, one degree of freedom
+        inflation = (1.0 + decay**2) / np.where(keep, 1.0 - decay**2, 1.0)
+        sd = np.sqrt(shells(2.0 * density**2 * inflation) / samples)
+        scale = np.sum(simulated * want / sd**2) / np.sum(want**2 / sd**2)
+        statistic = float(np.sum(((simulated - scale * want) / (scale * sd)) ** 2))
+        assert statistic < chi2.ppf(0.999, len(want) - 1)  # about 36 for 15 shells
+
+        # the lag-tau correlation of a shell is e^(-|k|^(2 gamma) tau) averaged
+        # with the density's weights; its standard deviation over 12 seeds was
+        # at most 0.004 per shell
+        tau = lag * dt
+        correlation = shells(lagged / (chains * (steps - lag))) / simulated
+        np.testing.assert_allclose(
+            correlation, shells(density * np.exp(-lam * tau)) / want, rtol=0, atol=0.015
+        )
