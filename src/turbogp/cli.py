@@ -50,8 +50,8 @@ import scipy
 
 from . import __version__
 from .experiments import (
-    TRUTH_GAUSSIAN, TRUTH_KINDS, Trial, TrialConfig, aggregate_point, run_comparison,
-    spectral_validation, sweep_alpha, sweep_density,
+    TRUTH_GAUSSIAN, TRUTH_KINDS, TRUTH_VORTEX, Trial, TrialConfig, aggregate_point,
+    run_comparison, spectral_validation, sweep_alpha, sweep_density,
 )
 from .gp_inference import ObservationSet, fit_posterior, greedy_sensor_placement, normal_quantile
 from .io import read_field_dump, write_csv, write_field_dump, write_json, write_manifest
@@ -67,8 +67,8 @@ EXIT_NUMERICAL = 3
 
 ENV_SEED = "TURBOGP_SEED"
 
-#: Reconstruction exponent of ``compare`` against a vortex truth when
-#: ``--alpha`` is unset (a gaussian truth uses ``--alpha-true``).
+#: Reconstruction exponent against a vortex truth when ``--alpha`` is unset
+#: (a gaussian truth uses ``--alpha-true``).
 VORTEX_RECONSTRUCTION_ALPHA = 1.25
 
 
@@ -216,6 +216,17 @@ def _check_alpha_gamma(alpha: float, gamma: float) -> None:
         )
 
 
+def _default_alpha(params: dict) -> float:
+    """``--alpha``, else :data:`VORTEX_RECONSTRUCTION_ALPHA` for a vortex
+    ``--truth`` and ``--alpha-true`` for any other truth (a sweep's gaussian
+    or a ``--field`` dump)."""
+    if params["alpha"] is not None:
+        return params["alpha"]
+    if params.get("truth") == TRUTH_VORTEX and not params.get("field"):
+        return VORTEX_RECONSTRUCTION_ALPHA
+    return params["alpha_true"]
+
+
 def _kernel_from_params(params: dict) -> KernelSpec:
     family = params["kernel"]
     if family == FAMILY_CHT:
@@ -292,10 +303,7 @@ def _trials_rows(results) -> list[tuple]:
 
 
 def cmd_compare(params: dict) -> None:
-    if params["alpha"] is None:
-        gaussian = params["truth"] == TRUTH_GAUSSIAN
-        params["alpha"] = params["alpha_true"] if gaussian else VORTEX_RECONSTRUCTION_ALPHA
-    alpha = params["alpha"]
+    alpha = params["alpha"] = _default_alpha(params)
     _check_alpha_gamma(alpha, params["gamma"])
     base = _trial_config(params, alpha, params["m"], truth_kind=params["truth"])
     if params["truth"] != TRUTH_GAUSSIAN:  # a vortex truth reads no alpha_true
@@ -340,9 +348,7 @@ def cmd_sweep_alpha(params: dict) -> None:
 
 
 def cmd_sweep_density(params: dict) -> None:
-    if params["alpha"] is None:
-        params["alpha"] = params["alpha_true"]
-    alpha = params["alpha"]
+    alpha = params["alpha"] = _default_alpha(params)
     _check_alpha_gamma(alpha, params["gamma"])
     base = _trial_config(params, alpha, params["m"][0])
     sweep = sweep_density(base, params["m"], params["trials"], jobs=params["jobs"])
@@ -383,12 +389,15 @@ def cmd_place_sensors(params: dict) -> None:
     rows = []
     for order, point in enumerate(picks):
         pseudo = ObservationSet(
-            locations=np.asarray(picks[:order], dtype=np.int64).reshape(-1, 2),
-            values=np.zeros(order),
+            locations=np.asarray(picks[: order + 1], dtype=np.int64),
+            values=np.zeros(order + 1),
             noise_variance=noise_variance,
         )
         post = fit_posterior(table, pseudo)
-        rows.append((order, point[0], point[1], float(post.variance_at([point])[0])))
+        # the last pivot squared is the Schur complement of the earlier picks:
+        # the pick's variance given them, plus its noise and jitter
+        variance = float(post.chol[-1, -1]) ** 2 - noise_variance - post.jitter
+        rows.append((order, point[0], point[1], max(variance, 0.0)))
     write_csv(Path(params["out"]) / "sensors.csv", ["order", "ix", "iy", "variance"], rows)
 
 
@@ -401,8 +410,7 @@ def _read_truth(path_text: str) -> RealField:
 
 def cmd_reconstruct(params: dict) -> None:
     if params["kernel"] == FAMILY_CHT:
-        if params["alpha"] is None:
-            params["alpha"] = params["alpha_true"]
+        params["alpha"] = _default_alpha(params)
         _check_alpha_gamma(params["alpha"], params["gamma"])
     spec = _kernel_from_params(params)
     truth = None
@@ -502,7 +510,11 @@ COMMANDS: dict[str, Command] = {
         cmd_reconstruct, "posterior mean/variance fields and credible summary",
         Param("field", str, help="truth field dump (json header path) instead of --truth"),
         _TRUTH, _N, _ALPHA_TRUE, _M, _NOISE, _KERNEL,
-        Param("alpha", _finite, help="power-law exponent (default: --alpha-true)"),
+        Param(
+            "alpha", _finite,
+            help="power-law exponent (default: --alpha-true for a gaussian truth or --field, "
+            f"else {VORTEX_RECONSTRUCTION_ALPHA})",
+        ),
         _LENGTH_SCALE, _NU,
         Param("level", _level, 0.95, help="credible level"),
         _GAMMA, _JOBS,

@@ -40,6 +40,7 @@ from .kernels import (
     PairIndex,
     _check_on_grid,
     _offset_gather,
+    _offset_index,
     build_kernel_table,
     gram_matrix,
     robust_cholesky,
@@ -115,9 +116,11 @@ class ObservationSet:
 
         Every Gram matrix on this set gathers through it (the ``pairs`` of
         :func:`~turbogp.kernels.gram_matrix`); a caller that builds several
-        builds it once, and each gather on this set takes it unchecked.
+        builds it once.  The index keeps this set's own read-only locations,
+        so each gather on the set takes it unchecked.
         """
-        return PairIndex.of(self.locations, n)
+        _check_on_grid(self.locations, n, "locations")
+        return PairIndex(self.locations, n, _offset_index(self.locations, self.locations, n))
 
 
 def _flat_indices(points: np.ndarray, n: int) -> np.ndarray:
@@ -183,8 +186,9 @@ class Posterior:
     thread reuses one transform buffer and the squares land in at most
     ``jobs + 1`` reused grids, about ``2 jobs + 2`` grids and one block of
     rows in all.  The squares are added up in row order, so the field's
-    bytes do not depend on ``jobs``.  :meth:`variance_at` reads the variance
-    at chosen points without a field.
+    bytes do not depend on ``jobs``.  The variance at the last observation
+    given the others needs no field: it is ``chol[-1, -1]**2`` less the noise
+    variance and ``jitter``.
     """
 
     kernel: KernelTable
@@ -239,21 +243,13 @@ class Posterior:
         """Grid points whose variance rounded below zero before clamping."""
         return int(np.sum(self._unclamped_variance < 0.0))
 
-    def variance_at(self, points) -> np.ndarray:
-        """Clamped posterior variance at grid points, O(m^2) per point."""
-        pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
-        _check_on_grid(pts, self.kernel.grid.n, "points")
-        cross = _offset_gather(self.kernel.values, self.obs.locations, pts)
-        half = solve_triangular(self.chol, cross, lower=True)
-        return np.maximum(self.kernel.spec.variance - np.einsum("ij,ij->j", half, half), 0.0)
-
 
 def _factorized_gram(
     kernel: KernelTable, obs: ObservationSet, pairs: PairIndex | None = None
 ) -> tuple[np.ndarray, float]:
     g = gram_matrix(kernel, obs.locations, pairs=pairs)
     g[np.diag_indices(obs.m)] += obs.noise_variance
-    return robust_cholesky(g, kernel.spec.variance)
+    return robust_cholesky(g)
 
 
 def fit_posterior(

@@ -23,10 +23,9 @@ FAMILY_RBF = "rbf"
 FAMILY_MATERN = "matern"
 FAMILIES = (FAMILY_CHT, FAMILY_RBF, FAMILY_MATERN)
 
-#: Diagonal jitter policy for Gram factorizations, as fractions of the
-#: marginal variance: start small, escalate by 10x, then give up.
-JITTER_START_FRACTION = 1e-10
-JITTER_MAX_FRACTION = 1e-6
+#: Diagonal jitter ladder of Gram factorizations, tried in order until one
+#: factorizes; every kernel has unit marginal variance.
+JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
 #: Distinct (spec, grid) kernel tables kept per process by
 #: :func:`build_kernel_table`; an evidence-tuned comparison needs 11.
@@ -224,50 +223,36 @@ def _cached_kernel_table(spec: KernelSpec, grid: GridSpec) -> KernelTable:
 class PairIndex:
     """Flat index into an ``n x n`` offset table of ``x_i - x_j`` for every pair of ``locations``.
 
-    Built by :meth:`of`, it keeps the locations it was built from as a
-    read-only array that owns its data, so they cannot change and
-    :func:`gram_matrix` handed those very locations needs no check of the
-    index.  It holds m^2 integers (80 KB at m = 100).
+    Built by :meth:`~turbogp.gp_inference.ObservationSet.pair_index` from the
+    set's read-only locations, which it keeps: :func:`gram_matrix` takes it
+    for that very array only.  It holds m^2 integers (80 KB at m = 100).
     """
 
     locations: np.ndarray
     n: int
     flat: np.ndarray
 
-    @classmethod
-    def of(cls, locations, n: int) -> "PairIndex":
-        """The index of ``(m, 2)`` grid ``locations``; any other array than a
-        read-only one that owns its data (an ``ObservationSet``'s) is copied."""
-        locs = np.asarray(locations, dtype=np.int64)
-        if locs.flags.writeable or not locs.flags.owndata:
-            locs = locs.copy()
-            locs.setflags(write=False)
-        _check_on_grid(locs, n, "locations")
-        return cls(locs, n, _offset_index(locs, locs, n))
-
 
 def gram_matrix(table: KernelTable, locations, pairs: PairIndex | None = None) -> np.ndarray:
     """Kernel matrix between grid locations via periodic table lookups.
 
     The lookups go through the locations' :class:`PairIndex` on the table's
-    grid.  A caller that gathers several tables on one location set builds
-    it once (``ObservationSet.pair_index``) and passes it as ``pairs``;
-    without it the index is built here.  An index handed the very locations
-    it was built from is used as it is; against any other locations it is
-    checked, and one of other locations or of another grid size is rejected.
+    grid.  A caller that gathers several tables on one observation set builds
+    it once (``ObservationSet.pair_index``) and passes it as ``pairs`` with
+    the set's own ``locations``; without it the index is built here.  An index
+    of any other array, an equal copy included, or of another grid size is
+    rejected.
     """
     n = table.grid.n
-    if pairs is not None and pairs.locations is locations and pairs.n == n:
+    if pairs is not None:
+        if pairs.locations is not locations or pairs.n != n:
+            raise ValueError("pairs must be the pair index of these very locations on this grid")
         return np.take(table.values, pairs.flat)
     locs = np.asarray(locations, dtype=np.int64)
     if locs.ndim != 2 or locs.shape[1] != 2:
         raise ValueError("locations must be an (m, 2) array of grid indices")
     _check_on_grid(locs, n, "locations")
-    if pairs is None:
-        return np.take(table.values, _offset_index(locs, locs, n))
-    if pairs.n != n or not np.array_equal(pairs.locations, locs):
-        raise ValueError("pairs must be the pair index of the locations on this grid")
-    return np.take(table.values, pairs.flat)
+    return np.take(table.values, _offset_index(locs, locs, n))
 
 
 def _check_on_grid(points: np.ndarray, n: int, what: str) -> None:
@@ -293,24 +278,18 @@ def _offset_gather(values: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
     return np.take(values, _offset_index(a, b, values.shape[0]))
 
 
-def robust_cholesky(matrix: np.ndarray, variance: float) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor with escalating diagonal jitter.
+def robust_cholesky(matrix: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor with the first diagonal jitter of :data:`JITTERS` that works.
 
-    Returns the factor and the jitter actually applied; raises
-    :class:`FactorizationError` once the jitter cap is exceeded.
+    Returns the factor and the jitter applied; raises
+    :class:`FactorizationError` when the last rung fails too.
     """
-    try:
-        return np.linalg.cholesky(matrix), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    eye = np.eye(matrix.shape[0])
-    jitter = JITTER_START_FRACTION * variance
-    cap = JITTER_MAX_FRACTION * variance
-    while jitter <= cap * (1.0 + 1e-12):
+    for jitter in JITTERS:
         try:
-            return np.linalg.cholesky(matrix + jitter * eye), jitter
+            shifted = matrix + jitter * np.eye(len(matrix)) if jitter else matrix
+            return np.linalg.cholesky(shifted), jitter
         except np.linalg.LinAlgError:
-            jitter *= 10.0
+            pass
     raise FactorizationError(
         "Gram matrix is not positive definite even after jitter escalation"
     )

@@ -328,19 +328,30 @@ class TestPlaceSensorsCommand:
         # first pick is the tie-broken lowest linear index with empty history
         assert lines[1].split(",")[:3] == ["0", "0", "0"]
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_picks_and_variances_match_dense_conditioning(self, tmp_path, stride):
-        assert run_cli("place-sensors", "--n", "32", "--kernel", "cht", "--alpha", "1.5",
-                       "--count", "6", "--candidate-stride", str(stride),
-                       "--out", str(tmp_path)) == 0
+    PRIORS = {
+        "cht": (("--kernel", "cht", "--alpha", "1.5"), KernelSpec.cht(1.5), 0.01),
+        # noiseless: each pick's pivot carries its variance alone
+        "rbf": (("--kernel", "rbf", "--length-scale", "0.5", "--noise-variance", "0"),
+                KernelSpec.rbf(0.5), 0.0),
+        "matern": (("--kernel", "matern", "--nu", "1.5", "--length-scale", "0.5",
+                    "--noise-variance", "1e-6"), KernelSpec.matern(1.5, 0.5), 1e-6),
+    }
+
+    @pytest.mark.parametrize("prior,stride", [
+        ("cht", 1), ("cht", 2), ("rbf", 1), ("rbf", 2), ("matern", 1), ("matern", 2),
+    ], ids=["1", "2", "rbf-1", "rbf-2", "matern-1", "matern-2"])
+    def test_picks_and_variances_match_dense_conditioning(self, tmp_path, prior, stride):
+        flags, spec, noise = self.PRIORS[prior]
+        assert run_cli("place-sensors", "--n", "32", *flags, "--count", "6",
+                       "--candidate-stride", str(stride), "--out", str(tmp_path)) == 0
         rows = np.loadtxt(tmp_path / "sensors.csv", delimiter=",", skiprows=1)
         picks = [(int(ix), int(iy)) for ix, iy in rows[:, 1:3]]
-        table = build_kernel_table(KernelSpec.cht(1.5), GridSpec(32))
+        table = build_kernel_table(spec, GridSpec(32))
         axis = np.arange(0, 32, stride)
         candidates = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        assert picks == dense_greedy(table, np.zeros((0, 2)), 0.01, candidates, 6)
+        assert picks == dense_greedy(table, np.zeros((0, 2)), noise, candidates, 6)
         for order, (ix, iy) in enumerate(picks):
-            _, cov = dense_condition(table, picks[:order], np.zeros(order), 0.01)
+            _, cov = dense_condition(table, picks[:order], np.zeros(order), noise)
             assert abs(rows[order, 3] - cov[ix * 32 + iy, ix * 32 + iy]) <= 1e-12
 
     def test_bad_stride_rejected(self, tmp_path):
@@ -749,16 +760,23 @@ class TestManifestEcho:
         ("compare", ("--alpha-true", "2.0", *SMALL), "alpha", 2.0),
         ("sweep-density", ("--alpha-true", "2.0", *SMALL), "alpha", 2.0),
         ("reconstruct", ("--field", "field.json", "--m", "10"), "n", 32),
-    ], ids=["compare_vortex", "compare_gaussian", "sweep_density", "reconstruct_field"])
+        ("reconstruct", ("--truth", "vortex", "--n", "16", "--m", "10"), "alpha", 1.25),
+        ("reconstruct", ("--field", "field.json", "--truth", "vortex", "--m", "10"), "alpha", 1.5),
+    ], ids=["compare_vortex", "compare_gaussian", "sweep_density", "reconstruct_field",
+            "reconstruct_vortex", "reconstruct_field_vortex"])
     def test_resolved_value_echoed(self, tmp_path, monkeypatch, command, flags, key, want):
-        # compare and sweep-density used to echo alpha null, and
-        # reconstruct --field the default n 128
+        # compare and sweep-density used to echo alpha null, reconstruct --field
+        # the default n 128, and reconstruct --truth vortex fit --alpha-true (1.5);
+        # a --field dump, which --truth does not describe, keeps --alpha-true
         monkeypatch.chdir(tmp_path)
         field = np.random.default_rng(0).standard_normal((32, 32))
         write_field_dump("field.json", RealField(GridSpec(32), field))
         assert run_cli(command, *flags, "--jobs", "1", "--out", "out") == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["config_echo"][key] == want
+        if command == "reconstruct" and key == "alpha":  # the prior it fit
+            summary = json.loads((tmp_path / "out" / "credible_summary.json").read_text())
+            assert summary["kernel"] == f"cht_a{want:g}"
 
     @pytest.mark.parametrize("command,flags,nulls", [
         ("reconstruct", ("--field", "field.json", "--m", "10"), ("truth", "alpha_true")),

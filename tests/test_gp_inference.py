@@ -11,7 +11,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import dense_condition, dense_greedy, dense_prior_covariance, refit_greedy
+from conftest import (
+    dense_condition, dense_greedy, dense_prior_covariance, refit_greedy, variance_at,
+)
 from turbogp import (
     GridSpec,
     KernelSpec,
@@ -149,22 +151,7 @@ class TestLazyPosterior:
         grid_points = [(a, b) for a in range(16) for b in range(16)]
         assert np.max(np.abs(post.mean_field.values.ravel() - mean)) <= 1e-12
         assert np.max(np.abs(post.variance_field.values.ravel() - variance)) <= 1e-12
-        assert np.max(np.abs(post.variance_at(grid_points) - variance)) <= 1e-12
-
-    def test_variance_at_reads_the_variance_field(self, cht_table16):
-        post = fit_posterior(cht_table16, _random_obs(cht_table16.grid, 40, seed=33))
-        points = np.array([[0, 0], [3, 15], [8, 8], [15, 1]])
-        got = post.variance_at(points)
-        want = post.variance_field.values[points[:, 0], points[:, 1]]
-        assert got.shape == (4,)
-        assert np.max(np.abs(got - want)) <= 1e-12
-
-    @pytest.mark.parametrize("point", [(17, 2), (-15, 2), (1, 16), (1, -1)])
-    def test_variance_at_rejects_off_grid_points(self, cht_table16, point):
-        # (17, 2) and (-15, 2) would otherwise alias (1, 2) on n = 16
-        post = fit_posterior(cht_table16, _random_obs(cht_table16.grid, 5, seed=34))
-        with pytest.raises(ValueError, match="on-grid"):
-            post.variance_at([(1, 2), point])
+        assert np.max(np.abs(variance_at(post, grid_points) - variance)) <= 1e-12
 
     @given(
         m=st.integers(0, 10),
@@ -424,7 +411,7 @@ class TestCredibleInterval:
     # the band is the one reconstruct writes: mean +- z * sqrt(variance)
     def test_interval_collapses_at_tiny_level(self, cht_table16):
         post = fit_posterior(cht_table16, _random_obs(cht_table16.grid, 3, seed=2))
-        half = normal_quantile(1e-12) * np.sqrt(post.variance_at([(1, 1)])[0])
+        half = normal_quantile(1e-12) * np.sqrt(post.variance_field.values[1, 1])
         mean = post.mean_field.values[1, 1]
         assert mean - half == pytest.approx(mean, abs=1e-6)
         assert mean + half == pytest.approx(mean, abs=1e-6)

@@ -19,7 +19,9 @@ from turbogp import (
     gram_matrix,
     spectral_density,
 )
-from turbogp.kernels import PairIndex, _offset_gather, raw_density, truncation_mask
+from turbogp.kernels import (
+    FactorizationError, _offset_gather, raw_density, robust_cholesky, truncation_mask,
+)
 from turbogp.spectral_field import radial_spectrum_of_power
 
 
@@ -279,9 +281,10 @@ class TestSharedInvariants:
                 db = (points[:, 1][:, None] - points[:, 1][None, :]) % grid_n
                 for table in tables:
                     direct = table.values[da, db]
-                    # the set's own locations take the index unchecked, equal ones check it
+                    # the index serves the set's own locations only, not an equal copy
                     assert np.array_equal(gram_matrix(table, obs.locations, pairs=pairs), direct)
-                    assert np.array_equal(gram_matrix(table, points, pairs=pairs), direct)
+                    with pytest.raises(ValueError, match="pair index"):
+                        gram_matrix(table, points, pairs=pairs)
                     assert np.array_equal(gram_matrix(table, points), direct)
                     assert np.array_equal(_offset_gather(table.values, points, points), direct)
 
@@ -293,17 +296,6 @@ class TestSharedInvariants:
             gram_matrix(table, locs, pairs=pairs)
         with pytest.raises(ValueError, match="on-grid"):
             ObservationSet(locs, np.zeros(3), 0.1).pair_index(8)
-
-    def test_pair_index_keeps_its_own_copy_of_writable_locations(self, grid16):
-        # the index of a writable array cannot follow a later write to it
-        table = build_kernel_table(KernelSpec.cht(1.5), grid16)
-        locs = np.array([[0, 0], [3, 5], [15, 2]])
-        pairs = PairIndex.of(locs, 16)
-        assert pairs.locations is not locs and not pairs.locations.flags.writeable
-        assert np.array_equal(gram_matrix(table, locs, pairs=pairs), gram_matrix(table, locs))
-        locs[1] = (4, 4)
-        with pytest.raises(ValueError, match="pair index"):
-            gram_matrix(table, locs, pairs=pairs)
 
     def test_pair_index_of_another_grid_or_same_size_set_rejected(self):
         # either used to be gathered silently, wrong by up to about 1
@@ -318,12 +310,12 @@ class TestSharedInvariants:
 
     def test_gram_is_a_private_copy(self, grid16):
         table = build_kernel_table(KernelSpec.cht(1.5), grid16)
-        locs = np.array([[0, 0], [3, 5], [3, 5], [15, 2]])
-        pairs = ObservationSet(locs, np.zeros(4), 0.1).pair_index(16)
-        first = gram_matrix(table, locs, pairs=pairs)
+        obs = ObservationSet(np.array([[0, 0], [3, 5], [3, 5], [15, 2]]), np.zeros(4), 0.1)
+        pairs = obs.pair_index(16)
+        first = gram_matrix(table, obs.locations, pairs=pairs)
         want = first.copy()
         first += 1.0
-        assert np.array_equal(gram_matrix(table, locs, pairs=pairs), want)
+        assert np.array_equal(gram_matrix(table, obs.locations, pairs=pairs), want)
 
     def test_cached_density_is_shared_and_read_only(self, grid16):
         spec = KernelSpec.cht(1.5)
@@ -337,26 +329,28 @@ class TestSharedInvariants:
 
 class TestRobustCholesky:
     def test_clean_matrix_needs_no_jitter(self):
-        from turbogp.kernels import robust_cholesky
-
         mat = np.array([[2.0, 0.5], [0.5, 1.0]])
-        chol, jitter = robust_cholesky(mat, 1.0)
+        chol, jitter = robust_cholesky(mat)
         assert jitter == 0.0
         assert np.allclose(chol @ chol.T, mat)
 
     def test_escalates_jitter_for_tiny_negative_eigenvalue(self):
-        from turbogp.kernels import robust_cholesky
-
         mat = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-12]])  # slightly indefinite
-        chol, jitter = robust_cholesky(mat, 1.0)
+        chol, jitter = robust_cholesky(mat)
         assert 0.0 < jitter <= 1e-6
         assert np.all(np.isfinite(chol))
 
-    def test_fails_beyond_jitter_cap(self):
-        from turbogp.kernels import FactorizationError, robust_cholesky
-
+    def test_top_rung_factorizes_and_nothing_beyond_it(self):
+        # determinant -1.5e-6 needs a jitter near 7.5e-7: only the last rung, 1e-6;
+        # -4e-6 needs about 2e-6, past the ladder
+        _, jitter = robust_cholesky(np.array([[1.0, 1.0], [1.0, 1.0 - 1.5e-6]]))
+        assert jitter == 1e-6
         with pytest.raises(FactorizationError):
-            robust_cholesky(np.array([[-1.0, 0.0], [0.0, -1.0]]), 1.0)
+            robust_cholesky(np.array([[1.0, 1.0], [1.0, 1.0 - 4e-6]]))
+
+    def test_fails_beyond_jitter_cap(self):
+        with pytest.raises(FactorizationError):
+            robust_cholesky(np.array([[-1.0, 0.0], [0.0, -1.0]]))
 
 
 class TestAdmissibility:
