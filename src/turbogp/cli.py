@@ -18,10 +18,14 @@ do not depend on the core count; each library's previous count is restored
 when the command ends.  A library counts only when it exports both the
 ``scipy_openblas`` thread getter and setter; where none is found (another
 BLAS build) the command runs unpinned.  The manifest's ``blas_threads``
-records the count in effect: 1, or null when unpinned.  Every value the
-command resolved (an exponent or a grid size taken from another parameter
-or from an input file) is echoed in the manifest as it was used, and a
-parameter the command ignored is echoed as null.
+records the count in effect: 1, or null when unpinned.
+
+:func:`_prior` resolves the prior a command fits, and :func:`_trial_config`
+the trial it draws.  The manifest echoes parameters by one rule, which those
+two apply (and ``place-sensors`` to the seed it never reads): every value the
+command resolved (an exponent or a grid size taken from another parameter or
+from an input file) is echoed as it was used, and a parameter the command
+ignored is echoed as null.
 
 A failing command writes nothing.  ``--out`` is created with its first file,
 which is written after the computation, so an unwritable ``--out`` is
@@ -67,8 +71,7 @@ EXIT_NUMERICAL = 3
 
 ENV_SEED = "TURBOGP_SEED"
 
-#: Reconstruction exponent against a vortex truth when ``--alpha`` is unset
-#: (a gaussian truth uses ``--alpha-true``).
+#: Power-law exponent fit to a vortex truth when ``--alpha`` is unset.
 VORTEX_RECONSTRUCTION_ALPHA = 1.25
 
 
@@ -125,6 +128,11 @@ _level = _checked(float, lambda value: 0.0 < value < 1.0, "a level strictly betw
 _N = Param("n", int, 128, help="grid points per side")
 _M = Param("m", int, 100, help="observations per trial")
 _ALPHA_TRUE = Param("alpha_true", _finite, 1.5, help="exponent of the gaussian truth")
+_ALPHA = Param(
+    "alpha", _finite,
+    help="power-law exponent of the prior (default: --alpha-true, or "
+    f"{VORTEX_RECONSTRUCTION_ALPHA} against a vortex --truth without --field)",
+)
 _NOISE = Param("noise", _finite, 0.1, help="noise std as a fraction of the truth's RMS")
 _TRIALS = Param("trials", _count, 20, help="independent trials")
 _GAMMA = Param(
@@ -216,21 +224,21 @@ def _check_alpha_gamma(alpha: float, gamma: float) -> None:
         )
 
 
-def _default_alpha(params: dict) -> float:
-    """``--alpha``, else :data:`VORTEX_RECONSTRUCTION_ALPHA` for a vortex
-    ``--truth`` and ``--alpha-true`` for any other truth (a sweep's gaussian
-    or a ``--field`` dump)."""
-    if params["alpha"] is not None:
-        return params["alpha"]
-    if params.get("truth") == TRUTH_VORTEX and not params.get("field"):
-        return VORTEX_RECONSTRUCTION_ALPHA
-    return params["alpha_true"]
+def _prior(params: dict) -> KernelSpec:
+    """The prior of ``--kernel``, a power law for a command without one.
 
-
-def _kernel_from_params(params: dict) -> KernelSpec:
-    family = params["kernel"]
+    A power law's exponent, ``--alpha`` or its default, is echoed as resolved
+    and must be admissible with ``--gamma``; a baseline reads neither, and
+    both are echoed null.
+    """
+    family = params.get("kernel", FAMILY_CHT)
     if family == FAMILY_CHT:
+        if params["alpha"] is None:
+            vortex = params.get("truth") == TRUTH_VORTEX and not params.get("field")
+            params["alpha"] = VORTEX_RECONSTRUCTION_ALPHA if vortex else params["alpha_true"]
+        _check_alpha_gamma(params["alpha"], params["gamma"])
         return KernelSpec.cht(params["alpha"])
+    params["alpha"] = params["gamma"] = None
     if family == FAMILY_RBF:
         return KernelSpec.rbf(params["length_scale"])
     if params["nu"] is None:
@@ -238,10 +246,30 @@ def _kernel_from_params(params: dict) -> KernelSpec:
     return KernelSpec.matern(params["nu"], params["length_scale"])
 
 
+def _trial_config(params: dict, candidates: tuple[KernelSpec, ...], m: int) -> TrialConfig:
+    """The trial of ``m`` observations on which the command scores ``candidates``.
+
+    A ``--field`` dump gives the truth in place of ``--truth``, and only a
+    gaussian truth reads ``--alpha-true``: what the truth ignored is echoed null.
+    """
+    config = TrialConfig(
+        grid_n=params["n"],
+        alpha_true=params["alpha_true"],
+        kernel_candidates=candidates,
+        m=m,
+        noise_ratio=params["noise"],
+        master_seed=params["seed"],
+        truth_kind=params.get("truth", TRUTH_GAUSSIAN),
+    )
+    if params.get("field"):
+        params["truth"] = None
+    if params.get("truth", TRUTH_GAUSSIAN) != TRUTH_GAUSSIAN:
+        params["alpha_true"] = None
+    return config
+
+
 def cmd_sample(params: dict) -> None:
-    _check_alpha_gamma(params["alpha"], params["gamma"])
-    grid = GridSpec(params["n"])
-    density = spectral_density(KernelSpec.cht(params["alpha"]), grid)
+    density = spectral_density(_prior(params), GridSpec(params["n"]))
     field = sample_gaussian_field(density, params["seed"])
     spectrum = radial_spectrum(field)
     outdir = Path(params["out"])
@@ -272,19 +300,6 @@ def cmd_validate_spectrum(params: dict) -> None:
     )
 
 
-def _trial_config(params: dict, alpha: float, m: int, **kwargs) -> TrialConfig:
-    """Power-law prior with exponent ``alpha`` against the evidence-tuned RBF."""
-    return TrialConfig(
-        grid_n=params["n"],
-        alpha_true=params["alpha_true"],
-        kernel_candidates=(KernelSpec.cht(alpha), KernelSpec.rbf(None)),
-        m=m,
-        noise_ratio=params["noise"],
-        master_seed=params["seed"],
-        **kwargs,
-    )
-
-
 def _write_sweep(path: Path, axis_name: str, points, axis=float) -> None:
     write_csv(
         path,
@@ -303,11 +318,8 @@ def _trials_rows(results) -> list[tuple]:
 
 
 def cmd_compare(params: dict) -> None:
-    alpha = params["alpha"] = _default_alpha(params)
-    _check_alpha_gamma(alpha, params["gamma"])
-    base = _trial_config(params, alpha, params["m"], truth_kind=params["truth"])
-    if params["truth"] != TRUTH_GAUSSIAN:  # a vortex truth reads no alpha_true
-        params["alpha_true"] = None
+    prior, baseline = _prior(params), KernelSpec.rbf(None)
+    base = _trial_config(params, (prior, baseline), params["m"])
     results = run_comparison(base, params["trials"], jobs=params["jobs"])
     outdir = Path(params["out"])
     write_csv(
@@ -315,11 +327,9 @@ def cmd_compare(params: dict) -> None:
         ["seed", "kernel", "eps", "rmse", "improvement_pct", "winner"],
         _trials_rows(results),
     )
-    cht_tag = base.kernel_candidates[0].tag
-    rbf_tag = base.kernel_candidates[1].tag
-    eps_cht = np.array([r.per_kernel[cht_tag].eps for r in results])
-    eps_rbf = np.array([r.per_kernel[rbf_tag].eps for r in results])
-    point = aggregate_point(alpha, results)
+    eps_cht = np.array([r.per_kernel[prior.tag].eps for r in results])
+    eps_rbf = np.array([r.per_kernel[baseline.tag].eps for r in results])
+    point = aggregate_point(prior.alpha, results)
     write_json(outdir / "summary.json", {
         "trials": len(results),
         "mean_eps_cht": float(eps_cht.mean()),
@@ -335,7 +345,7 @@ def cmd_compare(params: dict) -> None:
 def cmd_sweep_alpha(params: dict) -> None:
     for alpha in params["alphas"]:
         _check_alpha_gamma(alpha, params["gamma"])
-    base = _trial_config(params, params["alpha_true"], params["m"])
+    base = _trial_config(params, (KernelSpec.rbf(None),), params["m"])
     sweep = sweep_alpha(base, params["alphas"], params["trials"], jobs=params["jobs"])
     outdir = Path(params["out"])
     _write_sweep(outdir / "alpha.csv", "alpha", sweep.points)
@@ -348,9 +358,7 @@ def cmd_sweep_alpha(params: dict) -> None:
 
 
 def cmd_sweep_density(params: dict) -> None:
-    alpha = params["alpha"] = _default_alpha(params)
-    _check_alpha_gamma(alpha, params["gamma"])
-    base = _trial_config(params, alpha, params["m"][0])
+    base = _trial_config(params, (_prior(params), KernelSpec.rbf(None)), params["m"][0])
     sweep = sweep_density(base, params["m"], params["trials"], jobs=params["jobs"])
     outdir = Path(params["out"])
     _write_sweep(outdir / "density.csv", "m", sweep.points, axis=int)
@@ -364,11 +372,9 @@ def cmd_sweep_density(params: dict) -> None:
 
 
 def cmd_place_sensors(params: dict) -> None:
-    if params["kernel"] == FAMILY_CHT:
-        _check_alpha_gamma(params["alpha"], params["gamma"])
-    elif params["length_scale"] is None:
+    if params["kernel"] != FAMILY_CHT and params["length_scale"] is None:
         raise UsageError(f"{params['kernel']} placement requires --length-scale")
-    spec = _kernel_from_params(params)
+    spec = _prior(params)
     grid = GridSpec(params["n"])
     stride = params["candidate_stride"]
     if stride < 1 or grid.n % stride != 0:
@@ -381,10 +387,7 @@ def cmd_place_sensors(params: dict) -> None:
     axis = np.arange(0, grid.n, stride)
     candidates = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     picks = greedy_sensor_placement(table, empty, candidates, params["count"])
-    # placement draws nothing, and only the power-law prior reads alpha and gamma
-    params["seed"] = None
-    if params["kernel"] != FAMILY_CHT:
-        params["alpha"] = params["gamma"] = None
+    params["seed"] = None  # placement draws nothing
 
     rows = []
     for order, point in enumerate(picks):
@@ -409,30 +412,12 @@ def _read_truth(path_text: str) -> RealField:
 
 
 def cmd_reconstruct(params: dict) -> None:
-    if params["kernel"] == FAMILY_CHT:
-        params["alpha"] = _default_alpha(params)
-        _check_alpha_gamma(params["alpha"], params["gamma"])
-    spec = _kernel_from_params(params)
+    spec = _prior(params)
     truth = None
     if params["field"]:
         truth = _read_truth(params["field"])
         params["n"] = truth.grid.n
-    config = TrialConfig(
-        grid_n=params["n"],
-        alpha_true=params["alpha_true"],
-        kernel_candidates=(spec,),
-        m=params["m"],
-        noise_ratio=params["noise"],
-        master_seed=params["seed"],
-        truth_kind=params["truth"],
-    )
-    trial = Trial.draw(config, truth)
-    if truth is not None:  # the dump, not --truth and --alpha-true, gave the truth
-        params["truth"] = None
-    if params["truth"] != TRUTH_GAUSSIAN:  # a dump or a vortex reads no alpha_true
-        params["alpha_true"] = None
-    if params["kernel"] != FAMILY_CHT:  # only the power-law prior reads alpha and gamma
-        params["alpha"] = params["gamma"] = None
+    trial = Trial.draw(_trial_config(params, (spec,), params["m"]), truth)
     score, post = trial.score(spec, jobs=params["jobs"])
     outdir = Path(params["out"])
     write_field_dump(outdir / "mean.json", post.mean_field, seed=params["seed"])
@@ -474,13 +459,7 @@ COMMANDS: dict[str, Command] = {
     ),
     "compare": _command(
         cmd_compare, "power-law vs tuned RBF reconstruction over trials",
-        _TRUTH, _N, _ALPHA_TRUE,
-        Param(
-            "alpha", _finite,
-            help="reconstruction exponent (default: --alpha-true for a gaussian truth, "
-            f"else {VORTEX_RECONSTRUCTION_ALPHA})",
-        ),
-        _M, _NOISE, _TRIALS, _GAMMA, _JOBS,
+        _TRUTH, _N, _ALPHA_TRUE, _ALPHA, _M, _NOISE, _TRIALS, _GAMMA, _JOBS,
     ),
     "sweep-alpha": _command(
         cmd_sweep_alpha, "improvement vs reconstruction exponent",
@@ -490,9 +469,7 @@ COMMANDS: dict[str, Command] = {
     "sweep-density": _command(
         cmd_sweep_density, "improvement vs observation count",
         Param("m", _int_list, (20, 60, 150), help="observation counts"),
-        _ALPHA_TRUE,
-        Param("alpha", _finite, help="reconstruction exponent (default: --alpha-true)"),
-        _N, _NOISE, _TRIALS, _GAMMA, _JOBS,
+        _ALPHA_TRUE, _ALPHA, _N, _NOISE, _TRIALS, _GAMMA, _JOBS,
     ),
     "place-sensors": _command(
         cmd_place_sensors, "greedy max-variance sensor placement",
@@ -509,13 +486,7 @@ COMMANDS: dict[str, Command] = {
     "reconstruct": _command(
         cmd_reconstruct, "posterior mean/variance fields and credible summary",
         Param("field", str, help="truth field dump (json header path) instead of --truth"),
-        _TRUTH, _N, _ALPHA_TRUE, _M, _NOISE, _KERNEL,
-        Param(
-            "alpha", _finite,
-            help="power-law exponent (default: --alpha-true for a gaussian truth or --field, "
-            f"else {VORTEX_RECONSTRUCTION_ALPHA})",
-        ),
-        _LENGTH_SCALE, _NU,
+        _TRUTH, _N, _ALPHA_TRUE, _M, _NOISE, _KERNEL, _ALPHA, _LENGTH_SCALE, _NU,
         Param("level", _level, 0.95, help="credible level"),
         _GAMMA, _JOBS,
     ),

@@ -295,6 +295,11 @@ def run_comparison(base: TrialConfig, trials: int, jobs: int = 1) -> list[TrialR
 
 def aggregate_point(axis_value: float, results: Sequence[TrialResult]) -> SweepPoint:
     """Fold trial results into mean/std improvement and the win rate."""
+    for r in results:
+        if r.improvement_pct is None:
+            has_power_law = any(tag.startswith(f"{FAMILY_CHT}_") for tag in r.per_kernel)
+            missing = "baseline" if has_power_law else "power-law"
+            raise ValueError(f"trial {r.seed} has no {missing} candidate, so no improvement")
     imps = np.array([r.improvement_pct for r in results], dtype=np.float64)
     wins = np.array([r.improvement_pct > 0 for r in results], dtype=np.float64)
     std = float(imps.std(ddof=1)) if len(imps) > 1 else 0.0

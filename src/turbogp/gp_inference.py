@@ -39,6 +39,7 @@ from .kernels import (
     KernelTable,
     PairIndex,
     _check_on_grid,
+    _grid_indices,
     _offset_gather,
     _offset_index,
     build_kernel_table,
@@ -91,10 +92,7 @@ class ObservationSet:
     noise_variance: float
 
     def __post_init__(self) -> None:
-        raw = np.asarray(self.locations).reshape(-1, 2)
-        if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.round(raw))):
-            raise ValueError("observation locations must be integral grid indices")
-        locs = raw.astype(np.int64)
+        locs = _grid_indices(self.locations, "observation locations").reshape(-1, 2).copy()
         vals = np.array(self.values, dtype=np.float64, copy=True).reshape(-1)
         if len(locs) != len(vals):
             raise ValueError("locations and values must have equal length")
@@ -379,7 +377,7 @@ def greedy_sensor_placement(
     transform buffer: memory is O(n^2 + (m + count)^2), time one sublattice
     convolution per row.
     """
-    cands = np.asarray(candidates, dtype=np.int64).reshape(-1, 2)
+    cands = _grid_indices(candidates, "candidates").reshape(-1, 2)
     if count < 1:
         raise ValueError("count must be at least 1")
     if count > len(cands):

@@ -248,11 +248,19 @@ def gram_matrix(table: KernelTable, locations, pairs: PairIndex | None = None) -
         if pairs.locations is not locations or pairs.n != n:
             raise ValueError("pairs must be the pair index of these very locations on this grid")
         return np.take(table.values, pairs.flat)
-    locs = np.asarray(locations, dtype=np.int64)
+    locs = _grid_indices(locations, "locations")
     if locs.ndim != 2 or locs.shape[1] != 2:
         raise ValueError("locations must be an (m, 2) array of grid indices")
     _check_on_grid(locs, n, "locations")
     return np.take(table.values, _offset_index(locs, locs, n))
+
+
+def _grid_indices(points, what: str) -> np.ndarray:
+    """``points`` as int64 grid indices; a non-integral float is rejected, not truncated."""
+    raw = np.asarray(points)
+    if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.round(raw))):
+        raise ValueError(f"{what} must be integral grid indices")
+    return raw.astype(np.int64, copy=False)
 
 
 def _check_on_grid(points: np.ndarray, n: int, what: str) -> None:

@@ -213,6 +213,22 @@ class TestChecksBeforeOutput:
         assert "turbogp: error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        *(((command, "--alpha", "1.1", "--gamma", "0.8"), "2 - gamma")
+          for command in ("compare", "sweep-density", "place-sensors", "reconstruct")),
+        # compare's prior follows its truth
+        (("compare", "--alpha-true", "1.1", "--gamma", "0.8"), "2 - gamma"),
+        (("reconstruct", "--kernel", "matern"), "requires --nu"),
+        (("place-sensors", "--kernel", "matern", "--length-scale", "0.5"), "requires --nu"),
+        (("place-sensors", "--kernel", "rbf"), "requires --length-scale"),
+    ], ids=["compare", "sweep_density", "place_sensors", "reconstruct", "compare_alpha_true",
+            "reconstruct_matern", "place_matern", "place_rbf"])
+    def test_prior_rejected(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--n", "16", "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOutputDirectory:
     """``--out`` is created with the first file a command writes."""

@@ -294,6 +294,15 @@ class TestSweeps:
             assert point.trial_count == 3
             assert 0.0 <= point.win_rate <= 1.0
 
+    @pytest.mark.parametrize("candidate,missing", [
+        (KernelSpec.cht(1.5), "baseline"), (KernelSpec.rbf(0.5), "power-law"),
+    ])
+    def test_aggregate_names_the_missing_candidate(self, candidate, missing):
+        # used to raise TypeError comparing the absent improvement with 0
+        results = run_comparison(self._base(grid_n=16, m=10, kernel_candidates=(candidate,)), 2)
+        with pytest.raises(ValueError, match=f"no {missing} candidate"):
+            aggregate_point(1.5, results)
+
     def test_comparison_is_ordered_and_deterministic(self):
         results_serial = run_comparison(self._base(), 4, jobs=1)
         results_parallel = run_comparison(self._base(), 4, jobs=4)

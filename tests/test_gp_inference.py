@@ -22,6 +22,7 @@ from turbogp import (
     build_kernel_table,
     energy_variance,
     fit_posterior,
+    gram_matrix,
     greedy_sensor_placement,
     log_marginal_likelihood,
     normal_quantile,
@@ -69,6 +70,20 @@ class TestObservationSet:
         obs = ObservationSet(np.array([[1.0, 2.0]]), np.array([1.0]), 0.1)
         assert obs.locations.dtype == np.int64
         assert obs.locations.tolist() == [[1, 2]]
+
+
+@pytest.mark.parametrize("bad", [1.5, np.nan, np.inf])
+@pytest.mark.parametrize("use", ["candidate", "gram"])
+def test_fractional_grid_point_rejected(cht_table16, use, bad):
+    # a candidate or Gram location (1.5, 2) used to be truncated to (1, 2),
+    # where an observation location is rejected
+    points = [(bad, 2.0), (5.0, 5.0)]
+    with pytest.raises(ValueError, match="integral"):
+        if use == "candidate":
+            empty = ObservationSet(np.zeros((0, 2), dtype=int), np.zeros(0), 0.01)
+            greedy_sensor_placement(cht_table16, empty, points, 1)
+        else:
+            gram_matrix(cht_table16, points)
 
 
 class TestFitPosterior:
