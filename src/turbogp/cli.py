@@ -227,9 +227,10 @@ def _check_alpha_gamma(alpha: float, gamma: float) -> None:
 def _prior(params: dict) -> KernelSpec:
     """The prior of ``--kernel``, a power law for a command without one.
 
-    A power law's exponent, ``--alpha`` or its default, is echoed as resolved
-    and must be admissible with ``--gamma``; a baseline reads neither, and
-    both are echoed null.
+    A power law's exponent, ``--alpha`` or its default, must be admissible
+    with ``--gamma``, which a baseline ignores and echoes null.  ``alpha``,
+    ``length_scale`` and ``nu`` are echoed as the built spec holds them, so a
+    value the family ignores is echoed null.
     """
     family = params.get("kernel", FAMILY_CHT)
     if family == FAMILY_CHT:
@@ -237,13 +238,18 @@ def _prior(params: dict) -> KernelSpec:
             vortex = params.get("truth") == TRUTH_VORTEX and not params.get("field")
             params["alpha"] = VORTEX_RECONSTRUCTION_ALPHA if vortex else params["alpha_true"]
         _check_alpha_gamma(params["alpha"], params["gamma"])
-        return KernelSpec.cht(params["alpha"])
-    params["alpha"] = params["gamma"] = None
-    if family == FAMILY_RBF:
-        return KernelSpec.rbf(params["length_scale"])
-    if params["nu"] is None:
+        spec = KernelSpec.cht(params["alpha"])
+    elif family == FAMILY_RBF:
+        spec = KernelSpec.rbf(params["length_scale"])
+    elif params["nu"] is None:
         raise UsageError("matern kernel requires --nu")
-    return KernelSpec.matern(params["nu"], params["length_scale"])
+    else:
+        spec = KernelSpec.matern(params["nu"], params["length_scale"])
+    if family != FAMILY_CHT:
+        params["gamma"] = None
+    for key in params.keys() & {"alpha", "length_scale", "nu"}:
+        params[key] = getattr(spec, key)
+    return spec
 
 
 def _trial_config(params: dict, candidates: tuple[KernelSpec, ...], m: int) -> TrialConfig:

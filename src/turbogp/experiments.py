@@ -21,7 +21,7 @@ from .gp_inference import (
     ObservationSet, Posterior, _ordered_map, fit_posterior, select_hyperparameter,
 )
 from .kernels import (
-    FAMILY_CHT, KernelSpec, KernelTable, PairIndex, build_kernel_table, spectral_density,
+    FAMILY_CHT, KernelSpec, KernelTable, build_kernel_table, spectral_density,
 )
 from .spectral_field import (
     GridSpec,
@@ -206,9 +206,9 @@ class Trial:
     candidate (an unset baseline length scale is tuned by evidence over
     :data:`RBF_LENGTH_SCALES`), fits it, and reports eps: the RMSE of the
     posterior mean over the grid divided by the truth's grid standard
-    deviation.  A trial holds no pair index: a caller scoring several
-    candidates builds ``trial.obs.pair_index(trial.truth.grid.n)`` and passes
-    it as ``pairs``, and it is freed with that caller.
+    deviation.  A drawn trial's observations carry no pair index; a caller
+    scoring several candidates scores on :meth:`indexed`, so the evidence
+    scans and fits all gather through one index, freed with that trial.
     """
 
     truth: RealField
@@ -227,27 +227,26 @@ class Trial:
         obs = observe(truth, config.m, config.noise_ratio, derive_seed(config.master_seed, 1))
         return cls(truth, obs)
 
-    def _tune(self, spec: KernelSpec, pairs: Optional[PairIndex]) -> KernelSpec:
+    def indexed(self) -> Trial:
+        """The trial with its observations indexed on the truth's grid."""
+        return replace(self, obs=self.obs.indexed(self.truth.grid.n))
+
+    def _tune(self, spec: KernelSpec) -> KernelSpec:
         if spec.family != FAMILY_CHT and spec.length_scale is None:
             candidates = [replace(spec, length_scale=ell) for ell in RBF_LENGTH_SCALES]
-            return select_hyperparameter(candidates, self.obs, self.truth.grid, pairs)
+            return select_hyperparameter(candidates, self.obs, self.truth.grid)
         return spec
 
-    def score(
-        self, spec: KernelSpec, pairs: Optional[PairIndex] = None, jobs: int = 1
-    ) -> tuple[KernelScore, Posterior]:
+    def score(self, spec: KernelSpec, jobs: int = 1) -> tuple[KernelScore, Posterior]:
         """Resolve, fit and score ``spec``; returns its score and posterior.
 
         ``jobs`` threads build the posterior's variance field, if it is read.
         """
-        table = build_kernel_table(self._tune(spec, pairs), self.truth.grid)
-        return self.score_table(table, pairs, jobs)
+        return self.score_table(build_kernel_table(self._tune(spec), self.truth.grid), jobs)
 
-    def score_table(
-        self, table: KernelTable, pairs: Optional[PairIndex] = None, jobs: int = 1
-    ) -> tuple[KernelScore, Posterior]:
+    def score_table(self, table: KernelTable, jobs: int = 1) -> tuple[KernelScore, Posterior]:
         """Fit and score the prior of a built ``table``, as :meth:`score` does."""
-        post = fit_posterior(table, self.obs, pairs, jobs)
+        post = fit_posterior(table, self.obs, jobs)
         diff = post.mean_field.values - self.truth.values
         rmse = float(np.sqrt(np.mean(diff**2)))
         eps = rmse / float(np.std(self.truth.values))
@@ -274,13 +273,10 @@ def _trial_result(
 
 def run_trial(config: TrialConfig) -> TrialResult:
     """Draw the config's :class:`Trial` and score every candidate on it."""
-    trial = Trial.draw(config)
     # every Gram matrix of the trial, evidence scan and fits, gathers through
     # one pair index, freed with the trial
-    pairs = trial.obs.pair_index(config.grid_n)
-    per_kernel = {
-        spec.tag: trial.score(spec, pairs)[0] for spec in config.kernel_candidates
-    }
+    trial = Trial.draw(config).indexed()
+    per_kernel = {spec.tag: trial.score(spec)[0] for spec in config.kernel_candidates}
     return _trial_result(config.master_seed, config.kernel_candidates, per_kernel)
 
 
@@ -334,13 +330,12 @@ def sweep_alpha(
     powers = [build_kernel_table(KernelSpec.cht(float(alpha)), grid) for alpha in alphas]
 
     def trial_results(config: TrialConfig) -> list[TrialResult]:
-        trial = Trial.draw(config)
-        pairs = trial.obs.pair_index(config.grid_n)
-        base_scores = {spec.tag: trial.score(spec, pairs)[0] for spec in baseline}
+        trial = Trial.draw(config).indexed()
+        base_scores = {spec.tag: trial.score(spec)[0] for spec in baseline}
         return [
             _trial_result(
                 config.master_seed, (power.spec, *baseline),
-                {power.spec.tag: trial.score_table(power, pairs)[0], **base_scores},
+                {power.spec.tag: trial.score_table(power)[0], **base_scores},
             )
             for power in powers
         ]

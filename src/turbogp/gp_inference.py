@@ -25,7 +25,7 @@ import math
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence, Sized
 
@@ -85,11 +85,15 @@ def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """Grid-snapped pointwise observations with homoscedastic noise."""
+    """Grid-snapped pointwise observations with homoscedastic noise.
+
+    Only a copy made by :meth:`indexed` has ``pairs``; it cannot be passed in.
+    """
 
     locations: np.ndarray
     values: np.ndarray
     noise_variance: float
+    pairs: PairIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         locs = _grid_indices(self.locations, "observation locations").reshape(-1, 2).copy()
@@ -109,16 +113,18 @@ class ObservationSet:
     def m(self) -> int:
         return len(self.values)
 
-    def pair_index(self, n: int) -> PairIndex:
-        """The locations' :class:`~turbogp.kernels.PairIndex` on an ``n`` grid.
+    def indexed(self, n: int) -> ObservationSet:
+        """A copy of the set that carries its :class:`~turbogp.kernels.PairIndex` on an ``n`` grid.
 
-        Every Gram matrix on this set gathers through it (the ``pairs`` of
-        :func:`~turbogp.kernels.gram_matrix`); a caller that builds several
-        builds it once.  The index keeps this set's own read-only locations,
-        so each gather on the set takes it unchecked.
+        Every Gram matrix fitted on the copy gathers through that one index,
+        unchecked, so a caller that gathers several tables on a set indexes
+        it once; the index is freed with the copy.
         """
         _check_on_grid(self.locations, n, "locations")
-        return PairIndex(self.locations, n, _offset_index(self.locations, self.locations, n))
+        copy = replace(self)
+        flat = _offset_index(copy.locations, copy.locations, n)
+        object.__setattr__(copy, "pairs", PairIndex(n, flat))
+        return copy
 
 
 def _flat_indices(points: np.ndarray, n: int) -> np.ndarray:
@@ -242,40 +248,32 @@ class Posterior:
         return int(np.sum(self._unclamped_variance < 0.0))
 
 
-def _factorized_gram(
-    kernel: KernelTable, obs: ObservationSet, pairs: PairIndex | None = None
-) -> tuple[np.ndarray, float]:
-    g = gram_matrix(kernel, obs.locations, pairs=pairs)
+def _factorized_gram(kernel: KernelTable, obs: ObservationSet) -> tuple[np.ndarray, float]:
+    g = gram_matrix(kernel, obs.locations) if obs.pairs is None else obs.pairs.gather(kernel)
     g[np.diag_indices(obs.m)] += obs.noise_variance
     return robust_cholesky(g)
 
 
-def fit_posterior(
-    kernel: KernelTable, obs: ObservationSet, pairs: PairIndex | None = None, jobs: int = 1
-) -> Posterior:
+def fit_posterior(kernel: KernelTable, obs: ObservationSet, jobs: int = 1) -> Posterior:
     """Condition the stationary prior on the observations.
 
     Eager cost is one m x m factorization and solve, O(m^3) time and O(m^2)
-    memory; nothing of grid size is built until a field is read.  ``pairs``
-    is ``obs.pair_index(n)`` when the caller has built it already; ``jobs``
+    memory; nothing of grid size is built until a field is read.  ``jobs``
     threads build the variance field (:class:`Posterior`).
     """
-    chol, jitter = _factorized_gram(kernel, obs, pairs)
-    weights = cho_solve((chol, True), obs.values)
+    chol, jitter = _factorized_gram(kernel, obs)
+    # observation values are finite, and so is a successful Cholesky factor
+    weights = cho_solve((chol, True), obs.values, check_finite=False)
     return Posterior(
         kernel=kernel, obs=obs, chol=chol, alpha_weights=weights, jitter=jitter, jobs=jobs
     )
 
 
-def log_marginal_likelihood(
-    kernel: KernelTable, obs: ObservationSet, pairs: PairIndex | None = None
-) -> float:
-    """Gaussian evidence of the observations under the prior plus noise.
-
-    ``pairs`` is ``obs.pair_index(n)`` when the caller has built it already.
-    """
-    chol, _ = _factorized_gram(kernel, obs, pairs)
-    weights = cho_solve((chol, True), obs.values)
+def log_marginal_likelihood(kernel: KernelTable, obs: ObservationSet) -> float:
+    """Gaussian evidence of the observations under the prior plus noise."""
+    chol, _ = _factorized_gram(kernel, obs)
+    # observation values are finite, and so is a successful Cholesky factor
+    weights = cho_solve((chol, True), obs.values, check_finite=False)
     return float(
         -0.5 * obs.values @ weights
         - np.sum(np.log(np.diag(chol)))
@@ -284,25 +282,22 @@ def log_marginal_likelihood(
 
 
 def select_hyperparameter(
-    candidates: Sequence[KernelSpec],
-    obs: ObservationSet,
-    grid: GridSpec,
-    pairs: PairIndex | None = None,
+    candidates: Sequence[KernelSpec], obs: ObservationSet, grid: GridSpec
 ) -> KernelSpec:
     """Candidate with maximal evidence; ties keep the first occurrence.
 
-    Every candidate's Gram matrix gathers through one pair index: ``pairs``
-    if given, else ``obs.pair_index(grid.n)`` built here.
+    Every candidate's Gram matrix gathers through one pair index: the set's
+    own, or that of a copy indexed here (:meth:`ObservationSet.indexed`).
     """
     if not candidates:
         raise ValueError("need at least one candidate")
-    if pairs is None:
-        pairs = obs.pair_index(grid.n)
+    if obs.pairs is None:
+        obs = obs.indexed(grid.n)
     best_spec = None
     best_lml = -np.inf
     for spec in candidates:
         try:
-            lml = log_marginal_likelihood(build_kernel_table(spec, grid), obs, pairs)
+            lml = log_marginal_likelihood(build_kernel_table(spec, grid), obs)
         except FactorizationError:
             continue
         if best_spec is None or lml > best_lml:
@@ -338,9 +333,10 @@ def energy_variance(post: Posterior) -> float:
     prior_term = float(np.sum(dens**2))
     t2 = _power_table(dens, 2)
     t3 = _power_table(dens, 3)
-    pairs = post.obs.pair_index(grid.n)
-    t2_pairs = np.take(t2, pairs.flat)
-    t3_pairs = np.take(t3, pairs.flat)
+    # the fit checked that the locations are on this grid
+    offsets = _offset_index(post.obs.locations, post.obs.locations, grid.n)
+    t2_pairs = np.take(t2, offsets)
+    t3_pairs = np.take(t3, offsets)
     cross = float(np.trace(cho_solve((post.chol, True), t3_pairs)))
     y = cho_solve((post.chol, True), t2_pairs)
     rank_m = float(np.sum(y * y.T))

@@ -221,33 +221,33 @@ def _cached_kernel_table(spec: KernelSpec, grid: GridSpec) -> KernelTable:
 
 @dataclass(frozen=True, eq=False)
 class PairIndex:
-    """Flat index into an ``n x n`` offset table of ``x_i - x_j`` for every pair of ``locations``.
+    """Flat index into an ``n x n`` offset table of ``x_i - x_j`` for every pair of locations.
 
-    Built by :meth:`~turbogp.gp_inference.ObservationSet.pair_index` from the
-    set's read-only locations, which it keeps: :func:`gram_matrix` takes it
-    for that very array only.  It holds m^2 integers (80 KB at m = 100).
+    Only :meth:`~turbogp.gp_inference.ObservationSet.indexed` builds one,
+    from the on-grid locations of the copy that then carries it, so a gather
+    through it needs no check of those locations.  It holds m^2 integers
+    (80 KB at m = 100).
     """
 
-    locations: np.ndarray
     n: int
     flat: np.ndarray
 
+    def gather(self, table: KernelTable) -> np.ndarray:
+        """The Gram matrix of ``table`` on the indexed locations; refuses another grid size."""
+        if table.grid.n != self.n:
+            raise ValueError(f"pair index is on a {self.n} grid, the table on {table.grid.n}")
+        return np.take(table.values, self.flat)
 
-def gram_matrix(table: KernelTable, locations, pairs: PairIndex | None = None) -> np.ndarray:
+
+def gram_matrix(table: KernelTable, locations) -> np.ndarray:
     """Kernel matrix between grid locations via periodic table lookups.
 
-    The lookups go through the locations' :class:`PairIndex` on the table's
-    grid.  A caller that gathers several tables on one observation set builds
-    it once (``ObservationSet.pair_index``) and passes it as ``pairs`` with
-    the set's own ``locations``; without it the index is built here.  An index
-    of any other array, an equal copy included, or of another grid size is
-    rejected.
+    The locations are checked to be on the table's grid and their pair index
+    is built here, for this one gather.  An observation set that several
+    tables are gathered on builds it once instead:
+    :meth:`~turbogp.gp_inference.ObservationSet.indexed`.
     """
     n = table.grid.n
-    if pairs is not None:
-        if pairs.locations is not locations or pairs.n != n:
-            raise ValueError("pairs must be the pair index of these very locations on this grid")
-        return np.take(table.values, pairs.flat)
     locs = _grid_indices(locations, "locations")
     if locs.ndim != 2 or locs.shape[1] != 2:
         raise ValueError("locations must be an (m, 2) array of grid indices")

@@ -807,10 +807,16 @@ class TestManifestEcho:
         ("place-sensors", ("--n", "16", "--count", "2", "--kernel", "matern", "--nu", "1.5",
                            "--length-scale", "0.5"), ("alpha", "seed", "gamma")),
         ("place-sensors", ("--n", "16", "--count", "2", "--seed", "5"), ("seed",)),
+        ("place-sensors", ("--n", "16", "--count", "2", "--length-scale", "0.5", "--nu", "2"),
+         ("length_scale", "nu", "seed")),
+        ("reconstruct", ("--n", "16", "--m", "10", "--kernel", "rbf", "--nu", "2"),
+         ("nu", "alpha", "gamma")),
     ], ids=["reconstruct_field", "reconstruct_vortex", "reconstruct_vortex_rbf",
-            "reconstruct_matern", "compare_vortex", "place_rbf", "place_matern", "place_cht"])
+            "reconstruct_matern", "compare_vortex", "place_rbf", "place_matern", "place_cht",
+            "place_cht_baseline_flags", "reconstruct_rbf_nu"])
     def test_ignored_value_echoed_null(self, tmp_path, monkeypatch, command, flags, nulls):
-        # each used to echo its default (and place-sensors the seed it never read)
+        # each used to echo its default or its flag (and place-sensors the seed
+        # it never read)
         monkeypatch.chdir(tmp_path)
         field = np.random.default_rng(0).standard_normal((32, 32))
         write_field_dump("field.json", RealField(GridSpec(32), field))

@@ -394,25 +394,34 @@ class TestSweeps:
         assert ran == []
 
     def test_one_pair_index_per_trial(self, monkeypatch):
-        # the evidence scan and both fits gather through the index the trial built
-        built, passed = [], []
-        pair_index = ObservationSet.pair_index
-        gram = gp_inference.gram_matrix
+        # the evidence scan and every fit gather through the index the trial
+        # built: 10 scan tables and 2 fits in a trial, and in an alpha sweep
+        # the baseline's 11 and one power-law fit per alpha
+        indexed = ObservationSet.indexed
+        gather = kernels.PairIndex.gather
+        base = self._base(grid_n=16, m=12)
+        runs = [
+            (lambda: run_trial(base), len(RBF_LENGTH_SCALES) + 2),
+            (lambda: sweep_alpha(base, [1.0, 1.5, 2.0], trials=1), len(RBF_LENGTH_SCALES) + 4),
+        ]
+        for run, gathers in runs:
+            built, used = [], []
 
-        def counting_pair_index(obs, n):
-            built.append(n)
-            return pair_index(obs, n)
+            def counting_indexed(obs, n):
+                built.append(n)
+                return indexed(obs, n)
 
-        def recording_gram(table, locations, pairs=None):
-            passed.append(pairs)
-            return gram(table, locations, pairs)
+            def recording_gather(pairs, table):
+                used.append(pairs)
+                return gather(pairs, table)
 
-        monkeypatch.setattr(ObservationSet, "pair_index", counting_pair_index)
-        monkeypatch.setattr(gp_inference, "gram_matrix", recording_gram)
-        run_trial(self._base(grid_n=16, m=12))
-        assert built == [16]
-        assert len(passed) == len(RBF_LENGTH_SCALES) + 2
-        assert passed[0] is not None and all(p is passed[0] for p in passed)
+            monkeypatch.setattr(ObservationSet, "indexed", counting_indexed)
+            monkeypatch.setattr(kernels.PairIndex, "gather", recording_gather)
+            monkeypatch.setattr(gp_inference, "gram_matrix", None)  # no unindexed gather
+            run()
+            assert built == [16]
+            assert len(used) == gathers
+            assert all(p is used[0] for p in used)
 
     def test_threads_filling_shared_caches_agree_with_serial(self):
         # more workers than cores race to fill the empty per-process caches

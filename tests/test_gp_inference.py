@@ -15,6 +15,7 @@ from conftest import (
     dense_condition, dense_greedy, dense_prior_covariance, refit_greedy, variance_at,
 )
 from turbogp import (
+    FactorizationError,
     GridSpec,
     KernelSpec,
     KernelTable,
@@ -138,6 +139,39 @@ class TestFitPosterior:
             np.max(np.abs(post.variance_field.values - post2.variance_field.values))
             < 1e-12
         )
+
+    @given(
+        spec=st.one_of(
+            st.builds(KernelSpec.cht, st.floats(0.25, 3.0)),
+            st.builds(KernelSpec.rbf, st.floats(0.05, 2.0)),
+            st.builds(KernelSpec.matern, st.floats(0.5, 3.0), st.floats(0.05, 2.0)),
+        ),
+        m=st.integers(0, 20),
+        coincident=st.integers(0, 4),
+        noise=st.sampled_from([0.0, 0.05]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_indexed_fit_is_bit_identical(self, spec, m, coincident, noise, seed):
+        # a set's own pair index changes how its Gram matrix is gathered, not
+        # one bit of the fit; noiseless coincident points take the jitter ladder
+        table = build_kernel_table(spec, GridSpec(16))
+        rng = np.random.default_rng(seed)
+        locs = rng.integers(0, 16, size=(m, 2))
+        if m:
+            locs = np.concatenate([locs, locs[rng.integers(0, m, size=coincident)]])
+        obs = ObservationSet(locs, rng.standard_normal(len(locs)), noise)
+        indexed = obs.indexed(16)
+        try:
+            plain = fit_posterior(table, obs)
+        except FactorizationError:
+            with pytest.raises(FactorizationError):
+                fit_posterior(table, indexed)
+            return
+        fitted = fit_posterior(table, indexed)
+        assert fitted.jitter == plain.jitter
+        assert np.array_equal(fitted.mean_field.values, plain.mean_field.values)
+        assert np.array_equal(fitted.variance_field.values, plain.variance_field.values)
+        assert log_marginal_likelihood(table, indexed) == log_marginal_likelihood(table, obs)
 
 
 def _lazy_case(name):

@@ -1,6 +1,7 @@
 """Spectral densities, kernel tables vs the direct-sum oracle, Gram assembly,
 and the dissipation admissibility rule."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,9 @@ from turbogp import (
     ObservationSet,
     build_kernel_table,
     check_admissible,
+    fit_posterior,
     gram_matrix,
+    select_hyperparameter,
     spectral_density,
 )
 from turbogp.kernels import (
@@ -262,9 +265,9 @@ class TestSharedInvariants:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_shared_pair_index_gram_equals_direct_gather(self, n, m, coincident, seed):
-        # one pair index serves every table gathered on a location set;
-        # coincident points, a permuted order and the same locations on a
-        # second grid size each have their own index
+        # one indexed set gathers every table on it; coincident points, a
+        # permuted order and the same locations on a second grid size each
+        # have their own index
         rng = np.random.default_rng(seed)
         locs = rng.integers(0, n, size=(m, 2))
         if m:
@@ -275,47 +278,59 @@ class TestSharedInvariants:
             tables = [build_kernel_table(spec, grid)
                       for spec in (KernelSpec.cht(1.5), KernelSpec.rbf(0.3))]
             for points in (locs, permuted):
-                obs = ObservationSet(points, np.zeros(len(points)), 0.1)
-                pairs = obs.pair_index(grid_n)
+                obs = ObservationSet(points, np.zeros(len(points)), 0.1).indexed(grid_n)
                 da = (points[:, 0][:, None] - points[:, 0][None, :]) % grid_n
                 db = (points[:, 1][:, None] - points[:, 1][None, :]) % grid_n
                 for table in tables:
                     direct = table.values[da, db]
-                    # the index serves the set's own locations only, not an equal copy
-                    assert np.array_equal(gram_matrix(table, obs.locations, pairs=pairs), direct)
-                    with pytest.raises(ValueError, match="pair index"):
-                        gram_matrix(table, points, pairs=pairs)
+                    assert np.array_equal(obs.pairs.gather(table), direct)
                     assert np.array_equal(gram_matrix(table, points), direct)
                     assert np.array_equal(_offset_gather(table.values, points, points), direct)
 
-    def test_pair_index_of_another_set_rejected(self, grid16):
-        table = build_kernel_table(KernelSpec.cht(1.5), grid16)
+    def test_pair_index_of_another_set_rejected(self):
+        # a set carries no index but the one its own indexed() built
         locs = np.array([[0, 0], [3, 5], [15, 2]])
-        pairs = ObservationSet(locs[:2], np.zeros(2), 0.1).pair_index(16)
-        with pytest.raises(ValueError, match="pair index"):
-            gram_matrix(table, locs, pairs=pairs)
+        other = ObservationSet(locs[:2], np.zeros(2), 0.1).indexed(16)
+        with pytest.raises(TypeError):
+            ObservationSet(locs, np.zeros(3), 0.1, pairs=other.pairs)
+        with pytest.raises(ValueError):
+            replace(ObservationSet(locs, np.zeros(3), 0.1), pairs=other.pairs)
         with pytest.raises(ValueError, match="on-grid"):
-            ObservationSet(locs, np.zeros(3), 0.1).pair_index(8)
+            ObservationSet(locs, np.zeros(3), 0.1).indexed(8)
 
     def test_pair_index_of_another_grid_or_same_size_set_rejected(self):
         # either used to be gathered silently, wrong by up to about 1
-        table = build_kernel_table(KernelSpec.cht(1.5), GridSpec(32))
         rng = np.random.default_rng(3)
         locs = rng.integers(0, 16, size=(12, 2))
         other = rng.integers(0, 16, size=(12, 2))
-        for pairs in (ObservationSet(locs, np.zeros(12), 0.1).pair_index(16),
-                      ObservationSet(other, np.zeros(12), 0.1).pair_index(32)):
+        obs = ObservationSet(locs, np.zeros(12), 0.1)
+        for index_n, table_n in ((16, 32), (32, 16)):
+            grid = GridSpec(table_n)
+            table = build_kernel_table(KernelSpec.cht(1.5), grid)
+            indexed = obs.indexed(index_n)
             with pytest.raises(ValueError, match="pair index"):
-                gram_matrix(table, locs, pairs=pairs)
+                indexed.pairs.gather(table)
+            with pytest.raises(ValueError, match="pair index"):
+                fit_posterior(table, indexed)
+            with pytest.raises(ValueError, match="pair index"):
+                select_hyperparameter([KernelSpec.rbf(0.3)], indexed, grid)
+        # a set made from an indexed one with other locations carries no index
+        moved = replace(obs.indexed(16), locations=other)
+        assert moved.pairs is None
+        table = build_kernel_table(KernelSpec.cht(1.5), GridSpec(16))
+        want = fit_posterior(table, ObservationSet(other, np.zeros(12), 0.1)).chol
+        assert np.array_equal(fit_posterior(table, moved).chol, want)
 
     def test_gram_is_a_private_copy(self, grid16):
         table = build_kernel_table(KernelSpec.cht(1.5), grid16)
-        obs = ObservationSet(np.array([[0, 0], [3, 5], [3, 5], [15, 2]]), np.zeros(4), 0.1)
-        pairs = obs.pair_index(16)
-        first = gram_matrix(table, obs.locations, pairs=pairs)
-        want = first.copy()
-        first += 1.0
-        assert np.array_equal(gram_matrix(table, obs.locations, pairs=pairs), want)
+        source = ObservationSet(np.array([[0, 0], [3, 5], [3, 5], [15, 2]]), np.zeros(4), 0.1)
+        obs = source.indexed(16)
+        assert source.pairs is None and obs is not source
+        for gather in (obs.pairs.gather, lambda t: gram_matrix(t, obs.locations)):
+            first = gather(table)
+            want = first.copy()
+            first += 1.0
+            assert np.array_equal(gather(table), want)
 
     def test_cached_density_is_shared_and_read_only(self, grid16):
         spec = KernelSpec.cht(1.5)
