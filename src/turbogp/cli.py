@@ -131,7 +131,7 @@ _ALPHA_TRUE = Param("alpha_true", _finite, 1.5, help="exponent of the gaussian t
 _ALPHA = Param(
     "alpha", _finite,
     help="power-law exponent of the prior (default: --alpha-true, or "
-    f"{VORTEX_RECONSTRUCTION_ALPHA} against a vortex --truth without --field)",
+    f"{VORTEX_RECONSTRUCTION_ALPHA} against a vortex --truth)",
 )
 _NOISE = Param("noise", _finite, 0.1, help="noise std as a fraction of the truth's RMS")
 _TRIALS = Param("trials", _count, 20, help="independent trials")
@@ -235,7 +235,7 @@ def _prior(params: dict) -> KernelSpec:
     family = params.get("kernel", FAMILY_CHT)
     if family == FAMILY_CHT:
         if params["alpha"] is None:
-            vortex = params.get("truth") == TRUTH_VORTEX and not params.get("field")
+            vortex = params.get("truth") == TRUTH_VORTEX
             params["alpha"] = VORTEX_RECONSTRUCTION_ALPHA if vortex else params["alpha_true"]
         _check_alpha_gamma(params["alpha"], params["gamma"])
         spec = KernelSpec.cht(params["alpha"])
@@ -418,11 +418,15 @@ def _read_truth(path_text: str) -> RealField:
 
 
 def cmd_reconstruct(params: dict) -> None:
-    spec = _prior(params)
     truth = None
     if params["field"]:
+        # the dump is the truth and sets the grid
+        dropped = [f"--{p.name}" for p in (_TRUTH, _N) if params[p.name] != p.default]
+        if dropped:
+            raise UsageError(f"--field gives the truth and its grid; drop {' and '.join(dropped)}")
         truth = _read_truth(params["field"])
         params["n"] = truth.grid.n
+    spec = _prior(params)
     trial = Trial.draw(_trial_config(params, (spec,), params["m"]), truth)
     score, post = trial.score(spec, jobs=params["jobs"])
     outdir = Path(params["out"])
@@ -431,8 +435,11 @@ def cmd_reconstruct(params: dict) -> None:
 
     level = params["level"]
     z = normal_quantile(level)
-    half = z * np.sqrt(post.variance_field.values)
-    inside = np.abs(trial.truth.values - post.mean_field.values) <= half
+    # two grids: the half-width and the error, each formed in place
+    half = np.sqrt(post.variance_field.values)
+    half *= z
+    error = np.subtract(trial.truth.values, post.mean_field.values)
+    inside = np.abs(error, out=error) <= half
     write_json(outdir / "credible_summary.json", {
         "level": level,
         "z": z,
@@ -491,7 +498,7 @@ COMMANDS: dict[str, Command] = {
     ),
     "reconstruct": _command(
         cmd_reconstruct, "posterior mean/variance fields and credible summary",
-        Param("field", str, help="truth field dump (json header path) instead of --truth"),
+        Param("field", str, help="truth field dump (json header path) instead of --truth and --n"),
         _TRUTH, _N, _ALPHA_TRUE, _M, _NOISE, _KERNEL, _ALPHA, _LENGTH_SCALE, _NU,
         Param("level", _level, 0.95, help="credible level"),
         _GAMMA, _JOBS,

@@ -6,14 +6,14 @@ circular convolution of the weighted observation deltas with the kernel
 table (one forward and one inverse real FFT) and the variance field is a sum
 of m squared such convolutions, one per row of the inverse Gram factor L^-1.
 Those rows are solved a block at a time, so L^-1 is never held whole;
-:attr:`Posterior.jobs` threads convolve them in reused buffers and the
-calling thread adds the squares up in row order.  No ``m x n^2``
-cross-covariance is formed.  Greedy sensor placement subtracts the same
-squares at its candidates, one row of L^-1 at a time on the coarsest
-sublattice holding them, and keeps no ``count x candidates`` block.
-A fitted posterior holds only the ``m x m`` Gram factor and the weights;
-fields are computed when first read.  An empty observation set takes the
-same path: its 0 x 0 factor leaves the prior.
+:attr:`Posterior.jobs` workers, the calling thread among them, each square
+rows into one grid of their own and add every square to the sum in row
+order.  No ``m x n^2`` cross-covariance is formed.  Greedy sensor placement
+subtracts the same squares at its candidates, one row of L^-1 at a time on
+the coarsest sublattice holding them, and keeps no ``count x candidates``
+block.  A fitted posterior holds only the ``m x m`` Gram factor and the
+weights; fields are computed when first read.  An empty observation set
+takes the same path: its 0 x 0 factor leaves the prior.
 
 Integral quantities use the normalized torus measure (weight 1/n^2 per grid
 point), so traces and norms are grid means rather than physical integrals.
@@ -63,12 +63,12 @@ _ROW_BLOCK = 32
 def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
     """``map(fn, items)`` on ``jobs`` threads, yielding results in item order.
 
-    Items are pulled as tasks are submitted, and at most ``jobs + 1`` calls
-    are running or waiting to be read, so a consumer that drops each result
-    before the next holds bounded memory, a lazy ``items`` is read at most
-    that far ahead, and what the consumer does with the results does not
-    depend on ``jobs``.  One job, or a sized ``items`` of one item, runs in
-    the calling thread.
+    The trial pools of :mod:`turbogp.experiments` run on it.  Items are
+    pulled as tasks are submitted, and at most ``jobs + 1`` calls are running
+    or waiting to be read, so a lazy ``items`` is read at most that far
+    ahead, at most that many trials hold their grids at once, and what the
+    consumer does with the results does not depend on ``jobs``.  One job, or
+    a sized ``items`` of one item, runs in the calling thread.
     """
     if jobs <= 1 or (isinstance(items, Sized) and len(items) <= 1):
         yield from map(fn, items)
@@ -185,12 +185,15 @@ class Posterior:
     observed values.  The fields are computed on first read and kept:
     ``mean_field`` is one FFT convolution, O(n^2 log n); ``variance_field``
     and ``clamp_count`` square one convolution per row of L^-1, O(m n^2 log n)
-    time.  The rows of L^-1 are solved ``_ROW_BLOCK`` (32) at a time and
-    run as tasks on ``jobs`` threads, at most ``jobs + 1`` at a time; each
-    thread reuses one transform buffer and the squares land in at most
-    ``jobs + 1`` reused grids, about ``2 jobs + 2`` grids and one block of
-    rows in all.  The squares are added up in row order, so the field's
-    bytes do not depend on ``jobs``.  The variance at the last observation
+    time.  The rows of L^-1 are solved ``_ROW_BLOCK`` (32) at a time, and
+    ``jobs`` workers (the calling thread and ``jobs - 1`` more) take them in
+    turn.  A worker squares each row it takes into its own grid, with its own
+    transform buffer, and adds the grid to the sum once every earlier row is
+    in: the field holds the sum, one grid and one buffer per worker, and at
+    most one block of rows per worker besides the block being solved.  The
+    squares are added up in row order, so the field's bytes do not depend on
+    ``jobs``.  A worker that raises stops the others, and the read raises its
+    exception once they have all ended.  The variance at the last observation
     given the others needs no field: it is ``chol[-1, -1]**2`` less the noise
     variance and ``jitter``.
     """
@@ -216,25 +219,55 @@ class Posterior:
     def _unclamped_variance(self) -> np.ndarray:
         # sigma^2 - ||L^-1 k(x)||^2, where row j of L^-1 k(x) is a convolution
         n = self.kernel.grid.n
+        spectrum = self.kernel.spectrum
         flat = _flat_indices(self.obs.locations, n)
         reduction = np.zeros((n, n))
-        scratch = threading.local()
-        free: list[np.ndarray] = []
+        rows = _inverse_rows(self.chol)
+        pulling = threading.Lock()
+        turn = threading.Condition()
+        pulled = added = 0
+        failure: BaseException | None = None
 
-        def squared_row(row: np.ndarray) -> np.ndarray:
-            buffer = getattr(scratch, "buffer", None)
-            if buffer is None:
-                buffer = scratch.buffer = _new_buffer(n)
-            try:  # two threads can race for the last free grid
-                out = free.pop()
-            except IndexError:
-                out = np.empty((n, n))
-            values = _convolve_deltas(self.kernel.spectrum, flat, row, out, buffer)
-            return np.square(values, out=values)
+        def work() -> None:
+            # square rows into this worker's own grid, and add each square to
+            # the sum when every earlier row is in
+            nonlocal pulled, added, failure
+            grid = buffer = None
+            try:
+                while True:
+                    with pulling:
+                        row = None if failure else next(rows, None)
+                        index = pulled
+                        pulled += 1
+                    if row is None:
+                        return
+                    if grid is None:
+                        grid, buffer = np.empty((n, n)), _new_buffer(n)
+                    _convolve_deltas(spectrum, flat, row, grid, buffer)
+                    del row  # its block of L^-1 is freed before the next is solved
+                    np.square(grid, out=grid)
+                    with turn:
+                        while added != index and failure is None:
+                            turn.wait()
+                        if failure is not None:
+                            return
+                        np.add(reduction, grid, out=reduction)
+                        added += 1
+                        turn.notify_all()
+            except BaseException as exc:
+                with turn:
+                    if failure is None:
+                        failure = exc
+                    turn.notify_all()
 
-        for squared in _ordered_map(squared_row, _inverse_rows(self.chol), self.jobs):
-            reduction += squared
-            free.append(squared)
+        helpers = [threading.Thread(target=work) for _ in range(min(self.jobs, self.obs.m) - 1)]
+        for helper in helpers:
+            helper.start()
+        work()
+        for helper in helpers:
+            helper.join()
+        if failure is not None:
+            raise failure
         return np.subtract(self.kernel.spec.variance, reduction, out=reduction)
 
     @cached_property

@@ -35,6 +35,9 @@ KERNEL_TABLE_CACHE_SIZE = 16
 #: :func:`spectral_density`; a comparison reads one, its truth's, per trial.
 SPECTRAL_DENSITY_CACHE_SIZE = 8
 
+#: Rows of a Gram matrix that :func:`gram_matrix` gathers per block of offsets.
+_GATHER_ROWS = 64
+
 _GAMMA_LOW = 2.0 / 3.0
 _ADMISSIBILITY_EPS = 1e-12
 
@@ -242,9 +245,10 @@ class PairIndex:
 def gram_matrix(table: KernelTable, locations) -> np.ndarray:
     """Kernel matrix between grid locations via periodic table lookups.
 
-    The locations are checked to be on the table's grid and their pair index
-    is built here, for this one gather.  An observation set that several
-    tables are gathered on builds it once instead:
+    The locations are checked to be on the table's grid, and the offsets are
+    built here for this one gather, ``_GATHER_ROWS`` rows of the matrix at a
+    time, so no m x m index is held.  An observation set that several tables
+    are gathered on builds its whole pair index once instead:
     :meth:`~turbogp.gp_inference.ObservationSet.indexed`.
     """
     n = table.grid.n
@@ -252,7 +256,13 @@ def gram_matrix(table: KernelTable, locations) -> np.ndarray:
     if locs.ndim != 2 or locs.shape[1] != 2:
         raise ValueError("locations must be an (m, 2) array of grid indices")
     _check_on_grid(locs, n, "locations")
-    return np.take(table.values, _offset_index(locs, locs, n))
+    gram = np.empty((len(locs), len(locs)))
+    for start in range(0, len(locs), _GATHER_ROWS):
+        rows = slice(start, start + _GATHER_ROWS)
+        # every offset is in range; the default mode="raise" would gather
+        # into a new array and copy it to out
+        np.take(table.values, _offset_index(locs[rows], locs, n), out=gram[rows], mode="clip")
+    return gram
 
 
 def _grid_indices(points, what: str) -> np.ndarray:

@@ -419,6 +419,19 @@ class TestReconstructCommand:
                        "--seed", "3", "--out", str(out)) == 0
         assert (out / "credible_summary.json").exists()
 
+    @pytest.mark.parametrize("flags", [("--truth", "vortex"), ("--n", "32")], ids=["truth", "n"])
+    def test_field_with_truth_or_grid_is_a_usage_error(self, tmp_path, flags, capsys):
+        # the dump is the truth and sets the grid; either flag used to be
+        # dropped without a word
+        dump = tmp_path / "field.json"
+        field = np.random.default_rng(0).standard_normal((16, 16))
+        write_field_dump(dump, RealField(GridSpec(16), field))
+        out = tmp_path / "rec"
+        assert run_cli("reconstruct", "--field", str(dump), *flags, "--m", "10",
+                       "--out", str(out)) == 2
+        assert f"drop {flags[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_credible_summary_is_the_band_of_the_dumps(self, tmp_path):
         # the band is z * sqrt(variance) at every grid point, read back from the dumps
         assert run_cli("sample", "--n", "32", "--seed", "2", "--out", str(tmp_path / "sample")) == 0
@@ -777,13 +790,11 @@ class TestManifestEcho:
         ("sweep-density", ("--alpha-true", "2.0", *SMALL), "alpha", 2.0),
         ("reconstruct", ("--field", "field.json", "--m", "10"), "n", 32),
         ("reconstruct", ("--truth", "vortex", "--n", "16", "--m", "10"), "alpha", 1.25),
-        ("reconstruct", ("--field", "field.json", "--truth", "vortex", "--m", "10"), "alpha", 1.5),
     ], ids=["compare_vortex", "compare_gaussian", "sweep_density", "reconstruct_field",
-            "reconstruct_vortex", "reconstruct_field_vortex"])
+            "reconstruct_vortex"])
     def test_resolved_value_echoed(self, tmp_path, monkeypatch, command, flags, key, want):
         # compare and sweep-density used to echo alpha null, reconstruct --field
-        # the default n 128, and reconstruct --truth vortex fit --alpha-true (1.5);
-        # a --field dump, which --truth does not describe, keeps --alpha-true
+        # the default n 128, and reconstruct --truth vortex fit --alpha-true (1.5)
         monkeypatch.chdir(tmp_path)
         field = np.random.default_rng(0).standard_normal((32, 32))
         write_field_dump("field.json", RealField(GridSpec(32), field))

@@ -30,6 +30,7 @@ from turbogp import (
     select_hyperparameter,
     spectral_density,
 )
+from turbogp import gp_inference
 from turbogp.experiments import derive_seed, generate_cht_truth, observe
 from turbogp.gp_inference import _ordered_map
 
@@ -253,6 +254,22 @@ class TestLazyPosterior:
             tracemalloc.stop()
         assert peak < 5 * 2**20
 
+    def test_unindexed_fit_holds_two_m_by_m_arrays(self):
+        # the Gram matrix and its factor; the gather used to hold the whole
+        # m x m offset index and its temporaries beside the Gram, 3.00 m^2
+        grid = GridSpec(64)
+        table = build_kernel_table(KernelSpec.cht(1.5), grid)
+        m = 1500
+        obs = _random_obs(grid, m, seed=56)
+        fit_posterior(table, _random_obs(grid, 10, seed=57))
+        tracemalloc.start()
+        try:
+            fit_posterior(table, obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (m * m * 8) <= 2.1
+
 
 class TestVarianceTasks:
     """The variance field as one task per row of the inverse Gram factor."""
@@ -337,6 +354,69 @@ class TestVarianceTasks:
         _, cov = dense_condition(cht_table16, locs, values, 0.05 + post.jitter)
         variance = np.maximum(np.diag(cov), 0.0)
         assert np.max(np.abs(post.variance_field.values.ravel() - variance)) <= 1e-12
+
+    @pytest.mark.parametrize("m,jobs", [(60, 2), (60, 3), (60, 4), (1, 3), (2, 3)])
+    def test_workers_add_in_row_order(self, m, jobs):
+        # more workers than cores, and more workers than rows
+        table = build_kernel_table(KernelSpec.cht(1.5), GridSpec(32))
+        obs = _random_obs(table.grid, m, seed=58)
+        serial = fit_posterior(table, obs).variance_field.values
+        threaded = fit_posterior(table, obs, jobs=jobs).variance_field.values
+        assert np.array_equal(threaded, serial)
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_memory_is_one_grid_and_buffer_per_worker(self, jobs):
+        # the sum, each worker's grid and transform buffer, and a block of 32
+        # rows of L^-1 per worker besides the one being solved; a free list of
+        # jobs + 1 squares read 7.03 and 9.09 grids here at jobs 2 and 3
+        grid = GridSpec(128)
+        table = build_kernel_table(KernelSpec.cht(1.5), grid)
+        m = 200
+        fit_posterior(table, _random_obs(grid, 10, seed=59)).variance_field  # lazy set-up
+        post = fit_posterior(table, _random_obs(grid, m, seed=52), jobs=jobs)
+        tracemalloc.start()
+        try:
+            post.variance_field
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = grid.n**2
+        worker = cells * 8 + grid.n * (grid.n // 2 + 1) * 16
+        assert peak <= cells * 8 + jobs * worker + (jobs + 1) * 32 * m * 8
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_a_failing_row_stops_every_worker(self, monkeypatch, jobs):
+        lock = threading.Lock()
+        calls = [0]
+        convolve = gp_inference._convolve_deltas
+
+        def failing(*args):
+            with lock:
+                calls[0] += 1
+                sixth = calls[0] == 6
+            if sixth:
+                time.sleep(0.05)  # the other workers finish their rows and wait for this one
+                raise RuntimeError("row 6")
+            return convolve(*args)
+
+        table = build_kernel_table(KernelSpec.cht(1.5), GridSpec(16))
+        post = fit_posterior(table, _random_obs(table.grid, 40, seed=60), jobs=jobs)
+        monkeypatch.setattr(gp_inference, "_convolve_deltas", failing)
+        baseline = threading.active_count()
+        raised = []
+
+        def read():
+            try:
+                post.variance_field
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert [str(exc) for exc in raised] == ["row 6"]
+        assert threading.active_count() == baseline
 
     def test_ordered_map_reads_a_lazy_iterable_as_it_submits(self):
         pulled = [0]

@@ -237,6 +237,15 @@ class TestGramMatrix:
             g = gram_matrix(table, locs)
             assert np.linalg.eigvalsh(g).min() >= -1e-8 * spec.variance
 
+    @pytest.mark.parametrize("m", [0, 63, 64, 65, 130])
+    def test_row_blocks_equal_one_gather(self, cht_table16, m):
+        # the Gram is gathered 64 rows at a time; a block boundary on either
+        # side, and coincident points
+        locs = np.random.default_rng(13 + m).integers(0, 16, size=(m, 2))
+        da = (locs[:, 0][:, None] - locs[:, 0][None, :]) % 16
+        db = (locs[:, 1][:, None] - locs[:, 1][None, :]) % 16
+        assert np.array_equal(gram_matrix(cht_table16, locs), cht_table16.values[da, db])
+
     @given(
         spec=st.one_of(
             st.builds(KernelSpec.cht, st.floats(0.25, 3.0)),
