@@ -12,14 +12,13 @@ metric eps; every comparison, sweep and ``reconstruct`` scores through it.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gp_inference import (
-    ObservationSet, Posterior, _ordered_map, fit_posterior, select_hyperparameter,
-)
+from .gp_inference import ObservationSet, Posterior, fit_posterior, select_hyperparameter
 from .kernels import (
     FAMILY_CHT, KernelSpec, KernelTable, build_kernel_table, spectral_density,
 )
@@ -284,9 +283,23 @@ def _repetitions(base: TrialConfig, trials: int) -> list[TrialConfig]:
     return [replace(base, master_seed=derive_seed(base.master_seed, t)) for t in range(trials)]
 
 
+def _run_pool(fn: Callable, items: Sequence, jobs: int) -> list:
+    """``[fn(item) for item in items]``, on ``jobs`` threads.
+
+    Every trial pool runs on it.  At most ``jobs`` calls run at once, the
+    results keep item order, and a call that raises re-raises here once the
+    running calls end; the calls still queued by then are cancelled.  One
+    job, or one item, runs on the calling thread.
+    """
+    if jobs <= 1 or len(items) <= 1:
+        return list(map(fn, items))
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
 def run_comparison(base: TrialConfig, trials: int, jobs: int = 1) -> list[TrialResult]:
     """Independent repetitions of a trial with derived per-trial seeds."""
-    return list(_ordered_map(run_trial, _repetitions(base, trials), jobs))
+    return _run_pool(run_trial, _repetitions(base, trials), jobs)
 
 
 def aggregate_point(axis_value: float, results: Sequence[TrialResult]) -> SweepPoint:
@@ -340,7 +353,7 @@ def sweep_alpha(
             for power in powers
         ]
 
-    per_trial = list(_ordered_map(trial_results, _repetitions(base, trials), jobs))
+    per_trial = _run_pool(trial_results, _repetitions(base, trials), jobs)
     points = tuple(
         aggregate_point(float(alpha), [results[i] for results in per_trial])
         for i, alpha in enumerate(alphas)
@@ -351,7 +364,10 @@ def sweep_alpha(
 def sweep_density(
     base: TrialConfig, m_values: Sequence[int], trials: int, jobs: int = 1
 ) -> SweepResult:
-    """Reconstruction quality across observation counts, seeds independent per m."""
+    """Reconstruction quality across observation counts, seeds independent per m.
+
+    Every count's trials run in one pool, in count order.
+    """
     if not m_values:
         raise ValueError("need at least one observation count")
     families = {spec.family == FAMILY_CHT for spec in base.kernel_candidates}
@@ -359,15 +375,15 @@ def sweep_density(
         raise ValueError("density sweep needs a power-law and a non-power-law candidate")
     # every count is checked, by TrialConfig, before any trial runs
     configs = [
-        [replace(base, m=int(m), master_seed=derive_seed(base.master_seed, mi, t))
-         for t in range(trials)]
+        replace(base, m=int(m), master_seed=derive_seed(base.master_seed, mi, t))
         for mi, m in enumerate(m_values)
+        for t in range(trials)
     ]
-    points = [
-        aggregate_point(float(m), list(_ordered_map(run_trial, point_configs, jobs)))
-        for m, point_configs in zip(m_values, configs)
-    ]
-    return SweepResult(tuple(points))
+    results = _run_pool(run_trial, configs, jobs)
+    return SweepResult(tuple(
+        aggregate_point(float(m), results[mi * trials : (mi + 1) * trials])
+        for mi, m in enumerate(m_values)
+    ))
 
 
 def spectral_validation(

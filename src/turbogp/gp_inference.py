@@ -23,11 +23,9 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence, Sized
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -60,29 +58,6 @@ VARIANCE_TIE_RTOL = 1e-12
 _ROW_BLOCK = 32
 
 
-def _ordered_map(fn: Callable, items: Iterable, jobs: int) -> Iterator:
-    """``map(fn, items)`` on ``jobs`` threads, yielding results in item order.
-
-    The trial pools of :mod:`turbogp.experiments` run on it.  Items are
-    pulled as tasks are submitted, and at most ``jobs + 1`` calls are running
-    or waiting to be read, so a lazy ``items`` is read at most that far
-    ahead, at most that many trials hold their grids at once, and what the
-    consumer does with the results does not depend on ``jobs``.  One job, or
-    a sized ``items`` of one item, runs in the calling thread.
-    """
-    if jobs <= 1 or (isinstance(items, Sized) and len(items) <= 1):
-        yield from map(fn, items)
-        return
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        pending: deque = deque()
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) > jobs:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
 @dataclass(frozen=True)
 class ObservationSet:
     """Grid-snapped pointwise observations with homoscedastic noise.
@@ -96,7 +71,7 @@ class ObservationSet:
     pairs: PairIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        locs = _grid_indices(self.locations, "observation locations").reshape(-1, 2).copy()
+        locs = _grid_indices(self.locations, "observation locations").copy()
         vals = np.array(self.values, dtype=np.float64, copy=True).reshape(-1)
         if len(locs) != len(vals):
             raise ValueError("locations and values must have equal length")
@@ -281,10 +256,18 @@ class Posterior:
         return int(np.sum(self._unclamped_variance < 0.0))
 
 
-def _factorized_gram(kernel: KernelTable, obs: ObservationSet) -> tuple[np.ndarray, float]:
+def _factorized_gram(
+    kernel: KernelTable, obs: ObservationSet
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """The noisy Gram matrix's Cholesky factor and jitter, and the weights
+    that solve it against the observed values."""
     g = gram_matrix(kernel, obs.locations) if obs.pairs is None else obs.pairs.gather(kernel)
     g[np.diag_indices(obs.m)] += obs.noise_variance
-    return robust_cholesky(g)
+    chol, jitter = robust_cholesky(g)
+    del g  # the solve copies the factor to Fortran order: hold two m x m arrays, not three
+    # observation values are finite, and so is a successful Cholesky factor
+    weights = cho_solve((chol, True), obs.values, check_finite=False)
+    return chol, jitter, weights
 
 
 def fit_posterior(kernel: KernelTable, obs: ObservationSet, jobs: int = 1) -> Posterior:
@@ -294,9 +277,7 @@ def fit_posterior(kernel: KernelTable, obs: ObservationSet, jobs: int = 1) -> Po
     memory; nothing of grid size is built until a field is read.  ``jobs``
     threads build the variance field (:class:`Posterior`).
     """
-    chol, jitter = _factorized_gram(kernel, obs)
-    # observation values are finite, and so is a successful Cholesky factor
-    weights = cho_solve((chol, True), obs.values, check_finite=False)
+    chol, jitter, weights = _factorized_gram(kernel, obs)
     return Posterior(
         kernel=kernel, obs=obs, chol=chol, alpha_weights=weights, jitter=jitter, jobs=jobs
     )
@@ -304,9 +285,7 @@ def fit_posterior(kernel: KernelTable, obs: ObservationSet, jobs: int = 1) -> Po
 
 def log_marginal_likelihood(kernel: KernelTable, obs: ObservationSet) -> float:
     """Gaussian evidence of the observations under the prior plus noise."""
-    chol, _ = _factorized_gram(kernel, obs)
-    # observation values are finite, and so is a successful Cholesky factor
-    weights = cho_solve((chol, True), obs.values, check_finite=False)
+    chol, _, weights = _factorized_gram(kernel, obs)
     return float(
         -0.5 * obs.values @ weights
         - np.sum(np.log(np.diag(chol)))
@@ -406,7 +385,7 @@ def greedy_sensor_placement(
     transform buffer: memory is O(n^2 + (m + count)^2), time one sublattice
     convolution per row.
     """
-    cands = _grid_indices(candidates, "candidates").reshape(-1, 2)
+    cands = _grid_indices(candidates, "candidates")
     if count < 1:
         raise ValueError("count must be at least 1")
     if count > len(cands):
@@ -424,7 +403,7 @@ def greedy_sensor_placement(
     tol = VARIANCE_TIE_RTOL * sigma2
     m = obs.m
     # L^-1: the observations' rows, then one row per pick that enters the factor
-    chol, _ = _factorized_gram(kernel, obs)
+    chol = _factorized_gram(kernel, obs)[0]
     inverse = np.zeros((m + count, m + count))
     for row, weights in enumerate(_inverse_rows(chol)):
         inverse[row, : row + 1] = weights[: row + 1]

@@ -16,7 +16,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .spectral_field import GridSpec, _real_synthesis, mirror_indices
+from .spectral_field import GridSpec, _frozen_array, _real_synthesis, mirror_indices
 
 FAMILY_CHT = "cht"
 FAMILY_RBF = "rbf"
@@ -138,9 +138,10 @@ class SpectralDensity:
     grid_values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.grid_values, dtype=np.float64, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "grid_values", arr)
+        n = self.grid.n
+        object.__setattr__(
+            self, "grid_values", _frozen_array(self.grid_values, np.float64, (n, n))
+        )
 
 
 def truncation_mask(grid: GridSpec) -> np.ndarray:
@@ -182,11 +183,7 @@ class KernelTable:
 
     def __post_init__(self) -> None:
         n = self.grid.n
-        arr = np.array(self.values, dtype=np.float64, copy=True)
-        if arr.shape != (n, n):
-            raise ValueError("kernel table does not match the grid")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen_array(self.values, np.float64, (n, n)))
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -253,8 +250,6 @@ def gram_matrix(table: KernelTable, locations) -> np.ndarray:
     """
     n = table.grid.n
     locs = _grid_indices(locations, "locations")
-    if locs.ndim != 2 or locs.shape[1] != 2:
-        raise ValueError("locations must be an (m, 2) array of grid indices")
     _check_on_grid(locs, n, "locations")
     gram = np.empty((len(locs), len(locs)))
     for start in range(0, len(locs), _GATHER_ROWS):
@@ -266,8 +261,16 @@ def gram_matrix(table: KernelTable, locations) -> np.ndarray:
 
 
 def _grid_indices(points, what: str) -> np.ndarray:
-    """``points`` as int64 grid indices; a non-integral float is rejected, not truncated."""
+    """``points`` as an ``(m, 2)`` int64 array of grid indices.
+
+    Any other shape is rejected, except that an empty input is no points; a
+    non-integral float is rejected, not truncated.
+    """
     raw = np.asarray(points)
+    if raw.size == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    if raw.ndim != 2 or raw.shape[1] != 2:
+        raise ValueError(f"{what} must be an (m, 2) array of grid indices")
     if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.round(raw))):
         raise ValueError(f"{what} must be integral grid indices")
     return raw.astype(np.int64, copy=False)

@@ -2,6 +2,8 @@
 
 import gc
 import sys
+import threading
+import time
 import weakref
 from dataclasses import replace
 
@@ -443,6 +445,60 @@ class TestSweeps:
         finally:
             sys.setswitchinterval(interval)
         assert all(parallel == serial for parallel in runs)
+
+
+class TestRunPool:
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_keeps_item_order_and_bounds_tasks_at_once(self, jobs):
+        lock = threading.Lock()
+        running, most, threads = [0], [0], set()
+
+        def task(i):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+                threads.add(threading.get_ident())
+            time.sleep(0.001 * (7 * i % 5))  # later items often finish first
+            with lock:
+                running[0] -= 1
+            return i * i
+
+        assert experiments._run_pool(task, range(20), jobs) == [i * i for i in range(20)]
+        assert most[0] <= jobs
+        if jobs == 1:
+            assert threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_a_failing_task_cancels_the_queued_ones(self, jobs):
+        # item 0 raises while items 1..jobs-1 run; its worker may take item
+        # jobs before the caller cancels, and no later item starts
+        lock = threading.Lock()
+        started = []
+
+        def task(i):
+            with lock:
+                started.append(i)
+            if i == 0:
+                raise RuntimeError("item 0")
+            time.sleep(0.2)
+            return i
+
+        baseline = threading.active_count()
+        raised = []
+
+        def run():
+            try:
+                experiments._run_pool(task, range(40), jobs)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=run)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive()
+        assert [str(exc) for exc in raised] == ["item 0"]
+        assert set(range(jobs)) <= set(started) <= set(range(jobs + 1))
+        assert threading.active_count() == baseline
 
 
 class TestSpectralValidation:

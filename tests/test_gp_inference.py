@@ -1,6 +1,7 @@
 """Posterior fields vs dense conditioning, evidence, credible band coverage,
 energy variance, and greedy placement."""
 
+import math
 import sys
 import threading
 import time
@@ -32,7 +33,6 @@ from turbogp import (
 )
 from turbogp import gp_inference
 from turbogp.experiments import derive_seed, generate_cht_truth, observe
-from turbogp.gp_inference import _ordered_map
 
 
 def _random_obs(grid, m, seed, noise_variance=0.01):
@@ -86,6 +86,19 @@ def test_fractional_grid_point_rejected(cht_table16, use, bad):
             greedy_sensor_placement(cht_table16, empty, points, 1)
         else:
             gram_matrix(cht_table16, points)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2, 1, 2)])
+@pytest.mark.parametrize("use", ["observation", "candidate"])
+def test_malformed_location_array_rejected(cht_table16, use, shape):
+    # a (2, 3) array used to be read as the points (1, 2), (3, 4), (5, 6)
+    points = np.arange(1, 1 + math.prod(shape)).reshape(shape)
+    with pytest.raises(ValueError, match=r"\(m, 2\) array"):
+        if use == "observation":
+            ObservationSet(points, np.zeros(points.size // 2), 0.1)
+        else:
+            empty = ObservationSet(np.zeros((0, 2), dtype=int), np.zeros(0), 0.01)
+            greedy_sensor_placement(cht_table16, empty, points, 1)
 
 
 class TestFitPosterior:
@@ -417,38 +430,6 @@ class TestVarianceTasks:
         assert not reader.is_alive()
         assert [str(exc) for exc in raised] == ["row 6"]
         assert threading.active_count() == baseline
-
-    def test_ordered_map_reads_a_lazy_iterable_as_it_submits(self):
-        pulled = [0]
-
-        def items():
-            for i in range(20):
-                pulled[0] += 1
-                yield i
-
-        ahead = []
-        for i, value in enumerate(_ordered_map(lambda x: x + 1, items(), 2)):
-            assert value == i + 1
-            ahead.append(pulled[0] - (i + 1))
-        assert max(ahead) <= 2
-
-    def test_ordered_map_keeps_order_and_bounds_tasks_in_flight(self):
-        lock = threading.Lock()
-        started, read, most = [0], [0], [0]
-
-        def task(i):
-            with lock:
-                started[0] += 1
-                most[0] = max(most[0], started[0] - read[0])
-            time.sleep(0.001 * (i % 3))
-            return i * i
-
-        out = []
-        for value in _ordered_map(task, range(20), 2):
-            out.append(value)
-            read[0] += 1
-        assert out == [i * i for i in range(20)]
-        assert most[0] <= 3
 
 
 class TestLogMarginalLikelihood:
