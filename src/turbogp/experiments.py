@@ -12,13 +12,14 @@ metric eps; every comparison, sweep and ``reconstruct`` scores through it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .gp_inference import ObservationSet, Posterior, fit_posterior, select_hyperparameter
+from .gp_inference import (
+    ObservationSet, Posterior, _run_pool, fit_posterior, select_hyperparameter,
+)
 from .kernels import (
     FAMILY_CHT, KernelSpec, KernelTable, build_kernel_table, spectral_density,
 )
@@ -281,20 +282,6 @@ def run_trial(config: TrialConfig) -> TrialResult:
 
 def _repetitions(base: TrialConfig, trials: int) -> list[TrialConfig]:
     return [replace(base, master_seed=derive_seed(base.master_seed, t)) for t in range(trials)]
-
-
-def _run_pool(fn: Callable, items: Sequence, jobs: int) -> list:
-    """``[fn(item) for item in items]``, on ``jobs`` threads.
-
-    Every trial pool runs on it.  At most ``jobs`` calls run at once, the
-    results keep item order, and a call that raises re-raises here once the
-    running calls end; the calls still queued by then are cancelled.  One
-    job, or one item, runs on the calling thread.
-    """
-    if jobs <= 1 or len(items) <= 1:
-        return list(map(fn, items))
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def run_comparison(base: TrialConfig, trials: int, jobs: int = 1) -> list[TrialResult]:

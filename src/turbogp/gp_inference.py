@@ -6,9 +6,9 @@ circular convolution of the weighted observation deltas with the kernel
 table (one forward and one inverse real FFT) and the variance field is a sum
 of m squared such convolutions, one per row of the inverse Gram factor L^-1.
 Those rows are solved a block at a time, so L^-1 is never held whole;
-:attr:`Posterior.jobs` workers, the calling thread among them, each square
-rows into one grid of their own and add every square to the sum in row
-order.  No ``m x n^2`` cross-covariance is formed.  Greedy sensor placement
+:attr:`Posterior.jobs` workers each square rows into one grid of their own
+and add every square, in exact integer units, to the sum as it is done.
+No ``m x n^2`` cross-covariance is formed.  Greedy sensor placement
 subtracts the same squares at its candidates, one row of L^-1 at a time on
 the coarsest sublattice holding them, and keeps no ``count x candidates``
 block.  A fitted posterior holds only the ``m x m`` Gram factor and the
@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -56,6 +57,12 @@ VARIANCE_TIE_RTOL = 1e-12
 
 #: Rows of L^-1 that one triangular solve produces for the variance field.
 _ROW_BLOCK = 32
+
+#: The variance field scales each row of L^-1 by this power of two, exactly,
+#: so its squares come in integer units of 2^-56 and add up exactly in int64.
+#: The sum of the squares at a point is at most sigma^2 and int64 holds
+#: 128 sigma^2 (2^63 units); a square past that raises FactorizationError.
+_ROW_SCALE = 2.0**28
 
 
 @dataclass(frozen=True)
@@ -100,6 +107,21 @@ class ObservationSet:
         flat = _offset_index(copy.locations, copy.locations, n)
         object.__setattr__(copy, "pairs", PairIndex(n, flat))
         return copy
+
+
+def _run_pool(fn: Callable, items: Sequence, jobs: int) -> list:
+    """``[fn(item) for item in items]``, on ``jobs`` threads.
+
+    Every pool in the package runs on it: the trials of an experiment and
+    the workers of a variance field.  At most ``jobs`` calls run at once,
+    the results keep item order, and a call that raises re-raises here once
+    the running calls end; the calls still queued by then are cancelled.
+    One job, or one item, runs on the calling thread.
+    """
+    if jobs <= 1 or len(items) <= 1:
+        return list(map(fn, items))
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
 
 
 def _flat_indices(points: np.ndarray, n: int) -> np.ndarray:
@@ -161,14 +183,15 @@ class Posterior:
     ``mean_field`` is one FFT convolution, O(n^2 log n); ``variance_field``
     and ``clamp_count`` square one convolution per row of L^-1, O(m n^2 log n)
     time.  The rows of L^-1 are solved ``_ROW_BLOCK`` (32) at a time, and
-    ``jobs`` workers (the calling thread and ``jobs - 1`` more) take them in
-    turn.  A worker squares each row it takes into its own grid, with its own
-    transform buffer, and adds the grid to the sum once every earlier row is
-    in: the field holds the sum, one grid and one buffer per worker, and at
-    most one block of rows per worker besides the block being solved.  The
-    squares are added up in row order, so the field's bytes do not depend on
-    ``jobs``.  A worker that raises stops the others, and the read raises its
-    exception once they have all ended.  The variance at the last observation
+    ``jobs`` workers of one pool take them as they come.  A worker squares
+    each row it takes, scaled by 2^28, into its own grid, with its own
+    transform buffer, casts the square to int64 units of 2^-56 in the spent
+    buffer, and adds them to the int64 sum: the field holds the sum, one grid
+    and one buffer per worker, and at most one block of rows per worker
+    besides the block being solved.  Integer sums are exact in any order, so
+    the field's bytes do not depend on ``jobs`` or on which row ends first.
+    A worker that raises stops the others, and the read raises its exception
+    once they have all ended.  The variance at the last observation
     given the others needs no field: it is ``chol[-1, -1]**2`` less the noise
     variance and ``jitter``.
     """
@@ -192,57 +215,41 @@ class Posterior:
 
     @cached_property
     def _unclamped_variance(self) -> np.ndarray:
-        # sigma^2 - ||L^-1 k(x)||^2, where row j of L^-1 k(x) is a convolution
+        # sigma^2 - ||L^-1 k(x)||^2, where row j of L^-1 k(x) is a convolution;
+        # the squares are summed exactly, in integer units, in any order
         n = self.kernel.grid.n
         spectrum = self.kernel.spectrum
         flat = _flat_indices(self.obs.locations, n)
-        reduction = np.zeros((n, n))
+        total = np.zeros((n, n), dtype=np.int64)
         rows = _inverse_rows(self.chol)
-        pulling = threading.Lock()
-        turn = threading.Condition()
-        pulled = added = 0
-        failure: BaseException | None = None
+        lock = threading.Lock()
 
-        def work() -> None:
-            # square rows into this worker's own grid, and add each square to
-            # the sum when every earlier row is in
-            nonlocal pulled, added, failure
-            grid = buffer = None
+        def work(_: int) -> None:
+            grid, buffer = np.empty((n, n)), _new_buffer(n)
+            # the square's integer units go into the spent buffer's memory
+            units = buffer.reshape(-1).view(np.int64)[: n * n].reshape(n, n)
             try:
                 while True:
-                    with pulling:
-                        row = None if failure else next(rows, None)
-                        index = pulled
-                        pulled += 1
+                    with lock:
+                        row = next(rows, None)
                     if row is None:
                         return
-                    if grid is None:
-                        grid, buffer = np.empty((n, n)), _new_buffer(n)
-                    _convolve_deltas(spectrum, flat, row, grid, buffer)
+                    _convolve_deltas(spectrum, flat, row * _ROW_SCALE, grid, buffer)
                     del row  # its block of L^-1 is freed before the next is solved
-                    np.square(grid, out=grid)
-                    with turn:
-                        while added != index and failure is None:
-                            turn.wait()
-                        if failure is not None:
-                            return
-                        np.add(reduction, grid, out=reduction)
-                        added += 1
-                        turn.notify_all()
-            except BaseException as exc:
-                with turn:
-                    if failure is None:
-                        failure = exc
-                    turn.notify_all()
+                    try:
+                        with np.errstate(invalid="raise"):
+                            np.copyto(units, np.square(grid, out=grid), casting="unsafe")
+                    except FloatingPointError:
+                        raise FactorizationError("a squared row overflows int64") from None
+                    with lock:
+                        np.add(total, units, out=total)
+            except BaseException:
+                with lock:
+                    rows.close()  # the other workers take no further row
+                raise
 
-        helpers = [threading.Thread(target=work) for _ in range(min(self.jobs, self.obs.m) - 1)]
-        for helper in helpers:
-            helper.start()
-        work()
-        for helper in helpers:
-            helper.join()
-        if failure is not None:
-            raise failure
+        _run_pool(work, range(min(self.jobs, self.obs.m)), self.jobs)
+        reduction = total * _ROW_SCALE**-2
         return np.subtract(self.kernel.spec.variance, reduction, out=reduction)
 
     @cached_property
@@ -264,9 +271,9 @@ def _factorized_gram(
     g = gram_matrix(kernel, obs.locations) if obs.pairs is None else obs.pairs.gather(kernel)
     g[np.diag_indices(obs.m)] += obs.noise_variance
     chol, jitter = robust_cholesky(g)
-    del g  # the solve copies the factor to Fortran order: hold two m x m arrays, not three
-    # observation values are finite, and so is a successful Cholesky factor
-    weights = cho_solve((chol, True), obs.values, check_finite=False)
+    # observation values are finite, and so is a successful Cholesky factor;
+    # L^T is the upper factor in Fortran order, which LAPACK takes uncopied
+    weights = cho_solve((chol.T, False), obs.values, check_finite=False)
     return chol, jitter, weights
 
 
@@ -349,8 +356,8 @@ def energy_variance(post: Posterior) -> float:
     offsets = _offset_index(post.obs.locations, post.obs.locations, grid.n)
     t2_pairs = np.take(t2, offsets)
     t3_pairs = np.take(t3, offsets)
-    cross = float(np.trace(cho_solve((post.chol, True), t3_pairs)))
-    y = cho_solve((post.chol, True), t2_pairs)
+    cross = float(np.trace(cho_solve((post.chol.T, False), t3_pairs)))
+    y = cho_solve((post.chol.T, False), t2_pairs)
     rank_m = float(np.sum(y * y.T))
     return max(0.25 * (prior_term - 2.0 * cross + rank_m), 0.0)
 

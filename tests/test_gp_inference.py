@@ -355,7 +355,7 @@ class TestVarianceTasks:
         assert peak / (m * m * 8) < 0.5
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("m", [0, 1, 31, 32, 33, 100])
+    @pytest.mark.parametrize("m", [0, 1, 31, 32, 33, 100, 300])
     def test_row_blocks_match_dense_conditioning(self, cht_table16, m, jobs):
         # one block, a block boundary on either side, several blocks; every
         # set of two or more points holds a coincident pair
@@ -430,6 +430,44 @@ class TestVarianceTasks:
         assert not reader.is_alive()
         assert [str(exc) for exc in raised] == ["row 6"]
         assert threading.active_count() == baseline
+
+    def test_a_slow_row_holds_up_no_other_worker(self, monkeypatch):
+        # the first row waits until the other worker has convolved three more
+        # rows; a worker that waited to add its row after the slow one never
+        # convolves them, and the wait times out
+        lock = threading.Lock()
+        calls = [0]
+        released = threading.Event()
+        waits = []
+        convolve = gp_inference._convolve_deltas
+
+        def slow_first(*args):
+            with lock:
+                calls[0] += 1
+                call = calls[0]
+            if call == 1:
+                waits.append(released.wait(timeout=5))
+            elif call == 4:
+                released.set()
+            return convolve(*args)
+
+        table = build_kernel_table(KernelSpec.cht(1.5), GridSpec(32))
+        obs = _random_obs(table.grid, 40, seed=61)
+        serial = fit_posterior(table, obs).variance_field.values
+        monkeypatch.setattr(gp_inference, "_convolve_deltas", slow_first)
+        threaded = fit_posterior(table, obs, jobs=2).variance_field.values
+        assert waits == [True]
+        assert np.array_equal(threaded, serial)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_square_past_the_integer_range_raises(self, monkeypatch, jobs):
+        # at 2^40 a square of 2^-17 or more is past int64's 2^63 units; the
+        # cast must not wrap into the sum
+        table = build_kernel_table(KernelSpec.cht(1.5), GridSpec(16))
+        post = fit_posterior(table, _random_obs(table.grid, 40, seed=62), jobs=jobs)
+        monkeypatch.setattr(gp_inference, "_ROW_SCALE", 2.0**40)
+        with pytest.raises(FactorizationError, match="int64"):
+            post.variance_field
 
 
 class TestLogMarginalLikelihood:
