@@ -9,11 +9,12 @@ Those rows are solved a block at a time, so L^-1 is never held whole;
 :attr:`Posterior.jobs` workers each square rows into one grid of their own
 and add every square, in exact integer units, to the sum as it is done.
 No ``m x n^2`` cross-covariance is formed.  Greedy sensor placement
-subtracts the same squares at its candidates, one row of L^-1 at a time on
-the coarsest sublattice holding them, and keeps no ``count x candidates``
-block.  A fitted posterior holds only the ``m x m`` Gram factor and the
-weights; fields are computed when first read.  An empty observation set
-takes the same path: its 0 x 0 factor leaves the prior.
+subtracts the same squares, one row of L^-1 at a time, from one variance
+grid on the coarsest sublattice holding its candidates, ``-inf`` off them,
+and keeps no index of the candidates.  A fitted posterior holds only the
+``m x m`` Gram factor and the weights; fields are computed when first read.
+An empty observation set takes the same path: its 0 x 0 factor leaves the
+prior.
 
 Integral quantities use the normalized torus measure (weight 1/n^2 per grid
 point), so traces and norms are grid means rather than physical integrals.
@@ -59,7 +60,7 @@ VARIANCE_TIE_RTOL = 1e-12
 _ROW_BLOCK = 32
 
 #: The variance field scales each row of L^-1 by this power of two, exactly,
-#: so its squares come in integer units of 2^-56 and add up exactly in int64.
+#: and rounds its squares to int64 units of 2^-56, which add up exactly.
 #: The sum of the squares at a point is at most sigma^2 and int64 holds
 #: 128 sigma^2 (2^63 units); a square past that raises FactorizationError.
 _ROW_SCALE = 2.0**28
@@ -185,7 +186,7 @@ class Posterior:
     time.  The rows of L^-1 are solved ``_ROW_BLOCK`` (32) at a time, and
     ``jobs`` workers of one pool take them as they come.  A worker squares
     each row it takes, scaled by 2^28, into its own grid, with its own
-    transform buffer, casts the square to int64 units of 2^-56 in the spent
+    transform buffer, rounds the square to int64 units of 2^-56 in the spent
     buffer, and adds them to the int64 sum: the field holds the sum, one grid
     and one buffer per worker, and at most one block of rows per worker
     besides the block being solved.  Integer sums are exact in any order, so
@@ -238,7 +239,8 @@ class Posterior:
                     del row  # its block of L^-1 is freed before the next is solved
                     try:
                         with np.errstate(invalid="raise"):
-                            np.copyto(units, np.square(grid, out=grid), casting="unsafe")
+                            square = np.rint(np.square(grid, out=grid), out=grid)
+                            np.copyto(units, square, casting="unsafe")
                     except FloatingPointError:
                         raise FactorizationError("a squared row overflows int64") from None
                     with lock:
@@ -382,15 +384,18 @@ def greedy_sensor_placement(
     ``sum_q r_q k(c - q)`` over the rows r of L^-1, for the Cholesky factor
     L of the noisy Gram matrix of the conditioned points q.  From sigma^2,
     each row lowers the candidates in one step: an FFT convolution of its
-    weighted deltas, read at the candidates, squared and subtracted.  The
-    rows of the observations' (jittered) factor go first; a pick p extends
-    L by a row ``(l, d)`` and L^-1 by the row ``(-w, 1) / d`` with
-    ``w = L^-T l``.  All of it runs on the coarsest sublattice that holds
-    every candidate and observation, of step ``gcd(n, every coordinate
-    offset)``, whose kernel is the table sampled every ``step`` points.
-    L^-1 is one ``(m + count)^2`` block and the rows share one grid and one
-    transform buffer: memory is O(n^2 + (m + count)^2), time one sublattice
-    convolution per row.
+    weighted deltas, squared and subtracted.  The rows of the observations'
+    (jittered) factor go first; a pick p extends L by a row ``(l, d)`` and
+    L^-1 by the row ``(-w, 1) / d`` with ``w = L^-T l``.  All of it runs on
+    the coarsest sublattice that holds every candidate and observation, of
+    step ``gcd(n, every coordinate offset)``, whose kernel is the table
+    sampled every ``step`` points.  The variances are one array over it,
+    ``-inf`` at every cell that is not a candidate, so each row subtracts
+    its squares from the whole array; a sublattice origin below ``step``
+    makes its order the grid's linear order.  L^-1 is one ``(m + count)^2``
+    block and the rows share one grid and one transform buffer: memory is
+    three sublattice grids (five off step 1, with the sampled table and its
+    spectrum) and ``(m + count)^2``, time one sublattice convolution per row.
     """
     cands = _grid_indices(candidates, "candidates")
     if count < 1:
@@ -399,12 +404,6 @@ def greedy_sensor_placement(
         raise ValueError("count exceeds the candidate pool")
     n = kernel.grid.n
     _check_on_grid(cands, n, "candidates")
-
-    # the candidates' linear grid indices in increasing order, so the first of
-    # several tied variances is at the lowest index; only their torus
-    # positions outlive the setup, and each pick is mapped back from its own
-    linear = np.sort(_flat_indices(cands, n))
-    del cands
 
     sigma2 = kernel.spec.variance
     tol = VARIANCE_TIE_RTOL * sigma2
@@ -416,44 +415,46 @@ def greedy_sensor_placement(
         inverse[row, : row + 1] = weights[: row + 1]
     del chol
 
-    # every point lies on the sublattice origin + step Z^2, a torus of side
-    # n / step whose kernel is the table sampled every step points
-    origin = divmod(int(linear[0]), n)
-    rows, cols = np.divmod(linear, n)
-    del linear
-    rows = (rows - origin[0]) % n
-    cols = (cols - origin[1]) % n
-    obs_off = (obs.locations - origin) % n
-    step = math.gcd(n, *(int(np.gcd.reduce(off, axis=None)) for off in (rows, cols, obs_off)))
+    # every point lies on the sublattice origin + step Z^2 with origin below
+    # step, a torus of side n / step whose flat order is the grid's linear
+    # order and whose kernel is the table sampled every step points; the
+    # offsets are taken one coordinate column at a time
+    step = math.gcd(n, *(
+        int(np.gcd.reduce(points[:, axis] - cands[0, axis]))
+        for points in (cands, obs.locations) for axis in (0, 1)
+    ))
+    origin = tuple(int(start) % step for start in cands[0])
     side = n // step
-    cand_flat = (rows // step) * side + cols // step
-    del rows, cols
+    flat = cands[:, 0] // step
+    flat *= side
+    flat += cands[:, 1] // step
+    del cands
+    # a cell listed k times is picked k times: it keeps k - 1 spares
+    listed = np.bincount(flat, minlength=side * side)
+    del flat
+    spares = {int(cell): int(listed[cell]) - 1 for cell in np.flatnonzero(listed > 1)}
+    # candidate cells start at sigma^2; -inf, which no subtraction moves,
+    # marks every other cell and each cell picked for the last time
+    variances = np.where(listed > 0, sigma2, -np.inf)
+    del listed
     table = np.ascontiguousarray(kernel.values[::step, ::step])
-    spectrum = np.fft.rfft2(table)
+    spectrum = kernel.spectrum if step == 1 else np.fft.rfft2(table)
     # torus positions of the conditioned points: the observations, then
     # each pick that entered the factor
     nodes = np.empty((m + count, 2), dtype=np.int64)
-    nodes[:m] = obs_off // step
+    nodes[:m] = obs.locations // step
 
     grid = np.empty((side, side))
     buffer = _new_buffer(side)
-    # a row read at the candidates goes into the spent buffer's memory (its
-    # own array only when repeated candidates outnumber the sublattice), and
-    # the tie mask of a pick into the same bytes
-    spent = buffer.reshape(-1).view(np.float64)
-    gathered = spent[: len(cand_flat)] if len(cand_flat) <= len(spent) else np.empty(len(cand_flat))
-    tied = gathered.view(np.bool_)[: len(cand_flat)]
-    variances = np.full(len(cand_flat), sigma2)
+    # the tie mask of a pick goes into the spent buffer's memory
+    tied = buffer.reshape(-1).view(np.bool_)[: side * side]
 
     def lower(row: int) -> None:
         # row j of the lower triangular L^-1 weighs the first j + 1 points
         values = _convolve_deltas(
             spectrum, _flat_indices(nodes[: row + 1], side), inverse[row, : row + 1], grid, buffer
         )
-        # every index is in range; the default mode="raise" would gather into
-        # a new array and copy it to out
-        np.take(values.reshape(-1), cand_flat, out=gathered, mode="clip")
-        np.subtract(variances, np.square(gathered, out=gathered), out=variances)
+        np.subtract(variances, np.square(values, out=values).reshape(-1), out=variances)
 
     for row in range(m):
         lower(row)
@@ -461,10 +462,13 @@ def greedy_sensor_placement(
     rank = m
     for _ in range(count):
         pick = int(np.argmax(np.greater_equal(variances, variances.max() - tol, out=tied)))
-        variances[pick] = -np.inf  # never picked again
-        torus = divmod(int(cand_flat[pick]), side)
+        if spares.get(pick):
+            spares[pick] -= 1
+        else:
+            variances[pick] = -np.inf  # never picked again
+        torus = divmod(pick, side)
         nodes[rank] = torus
-        selected.append(tuple((start + step * t) % n for start, t in zip(origin, torus)))
+        selected.append((origin[0] + step * torus[0], origin[1] + step * torus[1]))
 
         # the factor's new row (ell, d), then the inverse factor's
         ell = inverse[:rank, :rank] @ _offset_gather(table, nodes[:rank], nodes[[rank]])[:, 0]

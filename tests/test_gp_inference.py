@@ -459,6 +459,22 @@ class TestVarianceTasks:
         assert waits == [True]
         assert np.array_equal(threaded, serial)
 
+    def test_rounded_squares_leave_no_mean_error(self):
+        # each row's square is rounded to units of 2^-56; cast by truncation it
+        # lost about half a unit per row, and the field read +6.5e-16 high
+        grid = GridSpec(128)
+        table = build_kernel_table(KernelSpec.cht(1.5), grid)
+        post = fit_posterior(table, _random_obs(grid, 100, seed=63))
+        flat = post.obs.locations[:, 0] * grid.n + post.obs.locations[:, 1]
+        values, buffer = np.empty((grid.n, grid.n)), gp_inference._new_buffer(grid.n)
+        squares = np.zeros((grid.n, grid.n), dtype=np.longdouble)
+        for row in gp_inference._inverse_rows(post.chol):
+            gp_inference._convolve_deltas(table.spectrum, flat, row, values, buffer)
+            squares += np.square(values.astype(np.longdouble))
+        exact = np.maximum(table.spec.variance - squares, 0.0)
+        error = np.mean(post.variance_field.values.astype(np.longdouble) - exact)
+        assert abs(float(error)) <= 1e-16
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_square_past_the_integer_range_raises(self, monkeypatch, jobs):
         # at 2^40 a square of 2^-17 or more is past int64's 2^63 units; the
@@ -703,8 +719,8 @@ class TestGreedyPlacement:
         assert picks == dense_greedy(table, obs.locations, 0.0, candidates, 2)
 
     def test_repeated_candidates_outnumbering_the_sublattice(self, grid8):
-        # three copies of one point make a one-point sublattice, whose
-        # transform buffer is too small to hold a row read at the candidates
+        # three copies of one point make a one-point sublattice, whose one
+        # cell keeps two spares
         table = build_kernel_table(KernelSpec.cht(1.5), grid8)
         obs = ObservationSet(np.zeros((0, 2), dtype=np.int64), np.zeros(0), 0.01)
         candidates = [(3, 5)] * 3
@@ -712,6 +728,32 @@ class TestGreedyPlacement:
         assert picks == candidates
         assert picks == refit_greedy(table, obs, candidates, 3)
         assert picks == dense_greedy(table, obs.locations, 0.01, candidates, 3)
+
+    def test_repeated_candidates_among_distinct_ones(self, grid8):
+        # four distinct points, two of them listed more than once, and more
+        # picks than distinct points: a listed copy is picked again
+        table = build_kernel_table(KernelSpec.cht(1.5), grid8)
+        obs = ObservationSet(np.array([[6, 6]]), np.zeros(1), 0.01)
+        candidates = [(3, 5), (1, 2), (3, 5), (6, 0), (1, 2), (3, 5), (0, 7)]
+        picks = greedy_sensor_placement(table, obs, candidates, 6)
+        assert len(set(picks)) < len(picks)
+        assert picks == refit_greedy(table, obs, candidates, 6)
+        assert picks == dense_greedy(table, obs.locations, 0.01, candidates, 6)
+
+    def test_offset_lattice_listed_out_of_order(self, grid16):
+        # the lattice (1, 1) + 2 Z^2 without its first row and column, listed
+        # shuffled: every prior variance ties, and the first pick is the
+        # lowest linear index, not the first listed candidate
+        table = build_kernel_table(KernelSpec.rbf(0.5), grid16)
+        obs = ObservationSet(np.zeros((0, 2), dtype=np.int64), np.zeros(0), 0.01)
+        lattice = [(a, b) for a in range(3, 16, 2) for b in range(3, 16, 2)]
+        order = np.random.default_rng(64).permutation(len(lattice))
+        candidates = [lattice[i] for i in order]
+        assert candidates[0] != (3, 3)
+        picks = greedy_sensor_placement(table, obs, candidates, 4)
+        assert picks[0] == (3, 3)
+        assert picks == refit_greedy(table, obs, candidates, 4)
+        assert picks == dense_greedy(table, obs.locations, 0.01, candidates, 4)
 
     @pytest.mark.parametrize("spec", [KernelSpec.cht(1.5), KernelSpec.rbf(0.5)], ids=["cht", "rbf"])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -795,6 +837,23 @@ class TestGreedyPlacement:
                     tracemalloc.stop()
             assert abs(peaks[1] - peaks[0]) < 2, f"m={m}"
             assert max(peaks) < 16, f"m={m}"
+
+    def test_memory_is_a_few_sublattice_grids(self, grid64):
+        # the variances, one grid and one transform buffer, and the block of
+        # L^-1 (one grid at 64 picks); sorted linear indices, a sublattice
+        # index and a gathered row for every candidate read 6.5 grids here
+        table = build_kernel_table(KernelSpec.cht(1.5), grid64)
+        table.spectrum  # the table's own cached transform is not the placement's cost
+        axis = np.arange(grid64.n)
+        candidates = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        obs = ObservationSet(np.zeros((0, 2), dtype=np.int64), np.zeros(0), 0.01)
+        tracemalloc.start()
+        try:
+            greedy_sensor_placement(table, obs, candidates, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (grid64.n**2 * 8) <= 5
 
     def test_contraction_with_observation_count(self):
         grid = GridSpec(64)
