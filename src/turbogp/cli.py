@@ -429,27 +429,30 @@ def cmd_reconstruct(params: dict) -> None:
     spec = _prior(params)
     trial = Trial.draw(_trial_config(params, (spec,), params["m"]), truth)
     score, post = trial.score(spec, jobs=params["jobs"])
+    mean, variance, clamped = post.mean_field, post.variance_field, post.clamp_count
+    jitter = post.jitter
+    del post  # its factor and unclamped variance are freed before the band
     outdir = Path(params["out"])
-    write_field_dump(outdir / "mean.json", post.mean_field, seed=params["seed"])
-    write_field_dump(outdir / "variance.json", post.variance_field, seed=params["seed"])
+    write_field_dump(outdir / "mean.json", mean, seed=params["seed"])
+    write_field_dump(outdir / "variance.json", variance, seed=params["seed"])
 
     level = params["level"]
     z = normal_quantile(level)
     # two grids: the half-width and the error, each formed in place
-    half = np.sqrt(post.variance_field.values)
+    half = np.sqrt(variance.values)
     half *= z
-    error = np.subtract(trial.truth.values, post.mean_field.values)
+    error = np.subtract(trial.truth.values, mean.values)
     inside = np.abs(error, out=error) <= half
     write_json(outdir / "credible_summary.json", {
         "level": level,
         "z": z,
         "coverage": float(np.mean(inside)),
         "mean_interval_halfwidth": float(half.mean()),
-        "clamped_points": post.clamp_count,
+        "clamped_points": clamped,
         "rmse": score.rmse,
         "eps": score.eps,
         "kernel": score.resolved_tag,
-        "jitter": post.jitter,
+        "jitter": jitter,
     })
 
 

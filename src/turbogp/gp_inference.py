@@ -7,7 +7,7 @@ table (one forward and one inverse real FFT) and the variance field is a sum
 of m squared such convolutions, one per row of the inverse Gram factor L^-1.
 Those rows are solved a block at a time, so L^-1 is never held whole;
 :attr:`Posterior.jobs` workers each square rows into one grid of their own
-and add every square, in exact integer units, to the sum as it is done.
+and add every square, in whole units of 2^-52, exactly to one float64 sum.
 No ``m x n^2`` cross-covariance is formed.  Greedy sensor placement
 subtracts the same squares, one row of L^-1 at a time, from one variance
 grid on the coarsest sublattice holding its candidates, ``-inf`` off them,
@@ -60,10 +60,10 @@ VARIANCE_TIE_RTOL = 1e-12
 _ROW_BLOCK = 32
 
 #: The variance field scales each row of L^-1 by this power of two, exactly,
-#: and rounds its squares to int64 units of 2^-56, which add up exactly.
-#: The sum of the squares at a point is at most sigma^2 and int64 holds
-#: 128 sigma^2 (2^63 units); a square past that raises FactorizationError.
-_ROW_SCALE = 2.0**28
+#: and rounds its squares to whole units of 2^-52, which float64 adds exactly
+#: below 2^53 units.  The sum of the squares at a point is at most sigma^2 = 1
+#: (2^52 units); a sum past 2^53 raises FactorizationError.
+_ROW_SCALE = 2.0**26
 
 
 @dataclass(frozen=True)
@@ -185,16 +185,16 @@ class Posterior:
     and ``clamp_count`` square one convolution per row of L^-1, O(m n^2 log n)
     time.  The rows of L^-1 are solved ``_ROW_BLOCK`` (32) at a time, and
     ``jobs`` workers of one pool take them as they come.  A worker squares
-    each row it takes, scaled by 2^28, into its own grid, with its own
-    transform buffer, rounds the square to int64 units of 2^-56 in the spent
-    buffer, and adds them to the int64 sum: the field holds the sum, one grid
-    and one buffer per worker, and at most one block of rows per worker
-    besides the block being solved.  Integer sums are exact in any order, so
-    the field's bytes do not depend on ``jobs`` or on which row ends first.
-    A worker that raises stops the others, and the read raises its exception
-    once they have all ended.  The variance at the last observation
-    given the others needs no field: it is ``chol[-1, -1]**2`` less the noise
-    variance and ``jitter``.
+    each row it takes, scaled by 2^26, into its own grid, with its own
+    transform buffer, rounds the square in place to whole units of 2^-52,
+    and adds it to the float64 sum: the field holds the sum, one grid and one
+    buffer per worker, and at most one block of rows per worker besides the
+    block being solved.  Below 2^53 units (``_ROW_SCALE``) whole units add
+    exactly in any order, so the field's bytes do not depend on ``jobs`` or
+    on which row ends first.  A worker that raises stops the others, and the
+    read raises its exception once they have all ended.  The variance at the
+    last observation given the others needs no field: it is
+    ``chol[-1, -1]**2`` less the noise variance and ``jitter``.
     """
 
     kernel: KernelTable
@@ -217,18 +217,16 @@ class Posterior:
     @cached_property
     def _unclamped_variance(self) -> np.ndarray:
         # sigma^2 - ||L^-1 k(x)||^2, where row j of L^-1 k(x) is a convolution;
-        # the squares are summed exactly, in integer units, in any order
+        # the squares are summed exactly, in whole units, in any order
         n = self.kernel.grid.n
         spectrum = self.kernel.spectrum
         flat = _flat_indices(self.obs.locations, n)
-        total = np.zeros((n, n), dtype=np.int64)
+        total = np.zeros((n, n))
         rows = _inverse_rows(self.chol)
         lock = threading.Lock()
 
         def work(_: int) -> None:
             grid, buffer = np.empty((n, n)), _new_buffer(n)
-            # the square's integer units go into the spent buffer's memory
-            units = buffer.reshape(-1).view(np.int64)[: n * n].reshape(n, n)
             try:
                 while True:
                     with lock:
@@ -237,22 +235,20 @@ class Posterior:
                         return
                     _convolve_deltas(spectrum, flat, row * _ROW_SCALE, grid, buffer)
                     del row  # its block of L^-1 is freed before the next is solved
-                    try:
-                        with np.errstate(invalid="raise"):
-                            square = np.rint(np.square(grid, out=grid), out=grid)
-                            np.copyto(units, square, casting="unsafe")
-                    except FloatingPointError:
-                        raise FactorizationError("a squared row overflows int64") from None
+                    np.rint(np.square(grid, out=grid), out=grid)
                     with lock:
-                        np.add(total, units, out=total)
+                        np.add(total, grid, out=total)
             except BaseException:
                 with lock:
                     rows.close()  # the other workers take no further row
                 raise
 
         _run_pool(work, range(min(self.jobs, self.obs.m)), self.jobs)
-        reduction = total * _ROW_SCALE**-2
-        return np.subtract(self.kernel.spec.variance, reduction, out=reduction)
+        # the sums only grow, so one past 2^53 units, NaN or inf shows at the end
+        if not total.max(initial=0.0) < 2.0**53:
+            raise FactorizationError("the squared rows sum past 2^53 units")
+        total *= _ROW_SCALE**-2
+        return np.subtract(self.kernel.spec.variance, total, out=total)
 
     @cached_property
     def variance_field(self) -> RealField:

@@ -68,7 +68,7 @@ def write_field_dump(
     header = {"n": field.grid.n, "kind": "real", "seed": seed, "alpha": alpha}
     json_path.write_text(json.dumps(header, sort_keys=True) + "\n")
     payload = np.ascontiguousarray(field.values, dtype="<f8")
-    _new_file(json_path.with_suffix(".bin")).write_bytes(payload.tobytes())
+    _new_file(json_path.with_suffix(".bin")).write_bytes(payload)
 
 
 def read_field_dump(json_path: Union[str, Path]) -> RealField:

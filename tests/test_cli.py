@@ -101,6 +101,15 @@ class TestFieldDump:
             assert (tmp_path / f"old_{name}").read_bytes() == content
             assert not (tmp_path / name).samefile(tmp_path / f"old_{name}")
 
+    def test_payload_size_must_match_header(self, tmp_path):
+        # without the check, reshape would raise a ValueError of its own
+        path = tmp_path / "f.json"
+        write_field_dump(path, RealField(GridSpec(16), np.zeros((16, 16))))
+        payload = tmp_path / "f.bin"
+        payload.write_bytes(payload.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="does not match header"):
+            read_field_dump(path)
+
     def test_payload_is_little_endian_float64(self, tmp_path):
         grid = GridSpec(16)
         field = RealField(grid, np.arange(256, dtype=float).reshape(16, 16))
@@ -221,8 +230,9 @@ class TestChecksBeforeOutput:
         (("reconstruct", "--kernel", "matern"), "requires --nu"),
         (("place-sensors", "--kernel", "matern", "--length-scale", "0.5"), "requires --nu"),
         (("place-sensors", "--kernel", "rbf"), "requires --length-scale"),
+        (("reconstruct", "--gamma", "1.2"), "gamma must lie in (2/3, 1], got 1.2"),
     ], ids=["compare", "sweep_density", "place_sensors", "reconstruct", "compare_alpha_true",
-            "reconstruct_matern", "place_matern", "place_rbf"])
+            "reconstruct_matern", "place_matern", "place_rbf", "gamma_range"])
     def test_prior_rejected(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         assert run_cli(*argv, "--n", "16", "--out", str(out)) == 2
@@ -659,6 +669,15 @@ class TestConfigAndEnvironment:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"nope": 1}))
         assert run_cli("sample", "--config", str(config), "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("name", ["missing.json", "a_directory"])
+    def test_unreadable_config_file_is_a_usage_error(self, tmp_path, capsys, name):
+        (tmp_path / "a_directory").mkdir()
+        config = tmp_path / name
+        out = tmp_path / "out"
+        assert run_cli("sample", "--config", str(config), "--out", str(out)) == 2
+        assert f"cannot read config file {config}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_file_must_be_an_object(self, tmp_path, capsys):
         config = write_config(tmp_path, [1, 2])

@@ -460,8 +460,8 @@ class TestVarianceTasks:
         assert np.array_equal(threaded, serial)
 
     def test_rounded_squares_leave_no_mean_error(self):
-        # each row's square is rounded to units of 2^-56; cast by truncation it
-        # lost about half a unit per row, and the field read +6.5e-16 high
+        # each row's square is rounded to units of 2^-52; cast by truncation to
+        # units of 2^-56 it lost about half a unit per row, and read +6.5e-16 high
         grid = GridSpec(128)
         table = build_kernel_table(KernelSpec.cht(1.5), grid)
         post = fit_posterior(table, _random_obs(grid, 100, seed=63))
@@ -476,13 +476,30 @@ class TestVarianceTasks:
         assert abs(float(error)) <= 1e-16
 
     @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rounded_squares_bound_the_largest_error(self, jobs):
+        # each row's rounding moves the sum by at most half a unit, 2^-53, and
+        # the subtraction from sigma^2 by at most one more
+        grid = GridSpec(128)
+        table = build_kernel_table(KernelSpec.cht(1.5), grid)
+        post = fit_posterior(table, _random_obs(grid, 100, seed=64), jobs=jobs)
+        flat = post.obs.locations[:, 0] * grid.n + post.obs.locations[:, 1]
+        values, buffer = np.empty((grid.n, grid.n)), gp_inference._new_buffer(grid.n)
+        squares = np.zeros((grid.n, grid.n), dtype=np.longdouble)
+        for row in gp_inference._inverse_rows(post.chol):
+            gp_inference._convolve_deltas(table.spectrum, flat, row, values, buffer)
+            squares += np.square(values.astype(np.longdouble))
+        exact = np.maximum(table.spec.variance - squares, 0.0)
+        error = np.abs(post.variance_field.values.astype(np.longdouble) - exact)
+        assert float(error.max()) <= (post.obs.m + 1) * 2.0**-53
+
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_square_past_the_integer_range_raises(self, monkeypatch, jobs):
-        # at 2^40 a square of 2^-17 or more is past int64's 2^63 units; the
-        # cast must not wrap into the sum
+        # at 2^40 a unit is 2^-80, so a sum of 2^-27 or more is past the 2^53
+        # whole units that float64 adds exactly; it must not reach the field
         table = build_kernel_table(KernelSpec.cht(1.5), GridSpec(16))
         post = fit_posterior(table, _random_obs(table.grid, 40, seed=62), jobs=jobs)
         monkeypatch.setattr(gp_inference, "_ROW_SCALE", 2.0**40)
-        with pytest.raises(FactorizationError, match="int64"):
+        with pytest.raises(FactorizationError, match=r"2\^53"):
             post.variance_field
 
 
@@ -536,6 +553,34 @@ class TestSelectHyperparameter:
     def test_empty_candidates_rejected(self, grid16):
         with pytest.raises(ValueError):
             select_hyperparameter([], _random_obs(grid16, 5, seed=1), grid16)
+
+    def test_a_candidate_that_fails_to_factorize_is_skipped(self, grid16, monkeypatch):
+        # two equal candidates tie, and a tie keeps the first; with the first
+        # one's factorization failing, the second is the only one left
+        first, second = KernelSpec.cht(1.5), KernelSpec.cht(1.5)
+        obs = _random_obs(grid16, 5, seed=1)
+        assert select_hyperparameter([first, second], obs, grid16) is first
+        factorize = gp_inference.robust_cholesky
+        calls = []
+
+        def fail_first(g):
+            calls.append(len(g))
+            if len(calls) == 1:
+                raise FactorizationError("forced")
+            return factorize(g)
+
+        monkeypatch.setattr(gp_inference, "robust_cholesky", fail_first)
+        assert select_hyperparameter([first, second], obs, grid16) is second
+        assert calls == [5, 5]
+
+    def test_every_candidate_failing_raises(self, grid16, monkeypatch):
+        def fail(g):
+            raise FactorizationError("forced")
+
+        monkeypatch.setattr(gp_inference, "robust_cholesky", fail)
+        candidates = [KernelSpec.cht(1.5), KernelSpec.rbf(0.5)]
+        with pytest.raises(FactorizationError, match="every candidate"):
+            select_hyperparameter(candidates, _random_obs(grid16, 5, seed=1), grid16)
 
     def test_interior_length_scale_selected(self):
         grid = GridSpec(64)
@@ -659,6 +704,11 @@ class TestGreedyPlacement:
         candidates = [(5, 9), (2, 3), (11, 1), (2, 1)]
         picks = greedy_sensor_placement(cht_table16, obs, candidates, 1)
         assert picks == [(2, 1)]
+
+    def test_zero_count_rejected(self, cht_table16):
+        obs = ObservationSet(np.zeros((0, 2), dtype=int), np.zeros(0), 0.01)
+        with pytest.raises(ValueError, match="at least 1"):
+            greedy_sensor_placement(cht_table16, obs, [(0, 0)], 0)
 
     def test_count_exceeding_pool_rejected(self, cht_table16):
         obs = ObservationSet(np.zeros((0, 2), dtype=int), np.zeros(0), 0.01)
