@@ -390,8 +390,9 @@ def cmd_place_sensors(params: dict) -> None:
         locations=np.zeros((0, 2), dtype=np.int64), values=np.zeros(0), noise_variance=noise_variance
     )
     table = build_kernel_table(spec, grid)
-    axis = np.arange(0, grid.n, stride)
-    candidates = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    # every stride-th point of each axis is a candidate, picked at most once
+    candidates = np.zeros((grid.n, grid.n), dtype=bool)
+    candidates[::stride, ::stride] = True
     picks = greedy_sensor_placement(table, empty, candidates, params["count"])
     params["seed"] = None  # placement draws nothing
 

@@ -375,6 +375,9 @@ def greedy_sensor_placement(
     leaves the conditioned set as it is.  Variances within
     ``VARIANCE_TIE_RTOL`` (1e-12) times the prior variance of the maximum
     count as tied, and ties break toward the lowest linear grid index.
+    ``candidates`` is an ``(n, n)`` boolean grid of cells picked at most
+    once, or an ``(m, 2)`` list of grid points, counted into an ``(n, n)``
+    int64 grid: a point listed k times may be picked k times.
 
     A candidate c's variance is sigma^2 minus the squares of
     ``sum_q r_q k(c - q)`` over the rows r of L^-1, for the Cholesky factor
@@ -384,22 +387,30 @@ def greedy_sensor_placement(
     (jittered) factor go first; a pick p extends L by a row ``(l, d)`` and
     L^-1 by the row ``(-w, 1) / d`` with ``w = L^-T l``.  All of it runs on
     the coarsest sublattice that holds every candidate and observation, of
-    step ``gcd(n, every coordinate offset)``, whose kernel is the table
-    sampled every ``step`` points.  The variances are one array over it,
-    ``-inf`` at every cell that is not a candidate, so each row subtracts
-    its squares from the whole array; a sublattice origin below ``step``
-    makes its order the grid's linear order.  L^-1 is one ``(m + count)^2``
-    block and the rows share one grid and one transform buffer: memory is
-    three sublattice grids (five off step 1, with the sampled table and its
-    spectrum) and ``(m + count)^2``, time one sublattice convolution per row.
+    step ``gcd(n, every coordinate offset)``, read off the grid's candidate
+    rows and columns; its kernel is the table sampled every ``step`` points.
+    The variances are one array over it, ``-inf`` at every cell that is not
+    a candidate, so each row subtracts its squares from the whole array; a
+    sublattice origin below ``step`` makes its order the grid's linear
+    order.  L^-1 is one ``(m + count)^2`` block and the rows share one grid
+    and one transform buffer: memory is three sublattice grids (five off
+    step 1, with the sampled table and its spectrum), ``(m + count)^2`` and,
+    from a list, the count grid until the variances exist; time is one
+    sublattice convolution per row.
     """
-    cands = _grid_indices(candidates, "candidates")
+    n = kernel.grid.n
+    counts = np.asarray(candidates)
+    if counts.dtype != np.bool_:
+        cands = _grid_indices(counts, "candidates")
+        _check_on_grid(cands, n, "candidates")
+        counts = np.bincount(_flat_indices(cands, n), minlength=n * n).reshape(n, n)
+        del cands
+    elif counts.shape != (n, n):
+        raise ValueError(f"a boolean candidate grid must be ({n}, {n})")
     if count < 1:
         raise ValueError("count must be at least 1")
-    if count > len(cands):
+    if count > counts.sum():
         raise ValueError("count exceeds the candidate pool")
-    n = kernel.grid.n
-    _check_on_grid(cands, n, "candidates")
 
     sigma2 = kernel.spec.variance
     tol = VARIANCE_TIE_RTOL * sigma2
@@ -414,25 +425,21 @@ def greedy_sensor_placement(
     # every point lies on the sublattice origin + step Z^2 with origin below
     # step, a torus of side n / step whose flat order is the grid's linear
     # order and whose kernel is the table sampled every step points; the
-    # offsets are taken one coordinate column at a time
+    # candidate rows, and columns, have the candidates' gcd of offsets
+    lines = (np.flatnonzero(counts.any(1)), np.flatnonzero(counts.any(0)))
     step = math.gcd(n, *(
-        int(np.gcd.reduce(points[:, axis] - cands[0, axis]))
-        for points in (cands, obs.locations) for axis in (0, 1)
+        int(np.gcd.reduce(points - lines[axis][0]))
+        for axis in (0, 1) for points in (lines[axis], obs.locations[:, axis])
     ))
-    origin = tuple(int(start) % step for start in cands[0])
+    origin = tuple(int(line[0]) % step for line in lines)
     side = n // step
-    flat = cands[:, 0] // step
-    flat *= side
-    flat += cands[:, 1] // step
-    del cands
-    # a cell listed k times is picked k times: it keeps k - 1 spares
-    listed = np.bincount(flat, minlength=side * side)
-    del flat
-    spares = {int(cell): int(listed[cell]) - 1 for cell in np.flatnonzero(listed > 1)}
+    counts = counts[origin[0] :: step, origin[1] :: step]
+    # a cell counted k times is picked k times: it keeps k - 1 spares
+    spares = {int(cell): int(counts.flat[cell]) - 1 for cell in np.flatnonzero(counts > 1)}
     # candidate cells start at sigma^2; -inf, which no subtraction moves,
     # marks every other cell and each cell picked for the last time
-    variances = np.where(listed > 0, sigma2, -np.inf)
-    del listed
+    variances = np.where(counts > 0, sigma2, -np.inf).reshape(-1)
+    del counts
     table = np.ascontiguousarray(kernel.values[::step, ::step])
     spectrum = kernel.spectrum if step == 1 else np.fft.rfft2(table)
     # torus positions of the conditioned points: the observations, then

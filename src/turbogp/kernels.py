@@ -107,18 +107,19 @@ class KernelSpec:
 
 
 def raw_density(spec: KernelSpec, ksq) -> np.ndarray:
-    """Unnormalized spectral density evaluated at squared wave number |n|^2."""
-    ksq = np.asarray(ksq, dtype=np.float64)
-    out = np.zeros_like(ksq)
-    nz = ksq > 0
+    """Unnormalized spectral density at squared wave number |n|^2, in place on one copy of it."""
+    out = np.array(ksq, dtype=np.float64)
+    nz = out > 0
     if spec.family == FAMILY_CHT:
-        out[nz] = ksq[nz] ** (-(1.0 + spec.alpha))
+        np.power(out, -(1.0 + spec.alpha), out=out, where=nz)
     elif spec.length_scale is None:
         raise ValueError(f"{spec.family} density requires a concrete length_scale")
     elif spec.family == FAMILY_RBF:
-        out[nz] = np.exp(-0.5 * spec.length_scale**2 * ksq[nz])
+        np.exp(np.multiply(out, -0.5 * spec.length_scale**2, out=out), out=out)
     else:
-        out[nz] = (1.0 + spec.length_scale**2 * ksq[nz]) ** (-(spec.nu + 1.0))
+        out *= spec.length_scale**2
+        np.power(np.add(out, 1.0, out=out), -(spec.nu + 1.0), out=out)
+    out[~nz] = 0.0
     return out
 
 
@@ -146,10 +147,10 @@ class SpectralDensity:
 
 def truncation_mask(grid: GridSpec) -> np.ndarray:
     """Active-mode mask: 0 < |n| <= n/2 with |n1|, |n2| < n/2."""
-    fx, fy = grid.frequency_grids()
-    ksq = grid.ksq_grid()
     half = grid.n // 2
-    return (ksq > 0) & (ksq <= float(half * half)) & (fx != -half) & (fy != -half)
+    mask = grid.ksq_grid() <= float(half * half)
+    mask[0, 0] = mask[half] = mask[:, half] = False  # DFT index n/2 is the wave number -n/2
+    return mask
 
 
 def spectral_density(spec: KernelSpec, grid: GridSpec) -> SpectralDensity:
@@ -162,12 +163,13 @@ def spectral_density(spec: KernelSpec, grid: GridSpec) -> SpectralDensity:
 
 
 def _normalized_density(spec: KernelSpec, grid: GridSpec) -> SpectralDensity:
-    ksq = grid.ksq_grid()
-    values = np.where(truncation_mask(grid), raw_density(spec, ksq), 0.0)
+    values = raw_density(spec, grid.ksq_grid())
+    values[~truncation_mask(grid)] = 0.0
     total = float(values.sum())
     if not (total > 0 and math.isfinite(total)):
         raise ValueError("spectral density is degenerate on this grid")
-    return SpectralDensity(spec=spec, grid=grid, grid_values=values * (spec.variance / total))
+    values *= spec.variance / total
+    return SpectralDensity(spec=spec, grid=grid, grid_values=values)
 
 
 _cached_spectral_density = lru_cache(maxsize=SPECTRAL_DENSITY_CACHE_SIZE)(_normalized_density)
@@ -196,10 +198,10 @@ class KernelTable:
 def _symmetrize_table(values: np.ndarray) -> np.ndarray:
     # exact even symmetry values[a, b] == values[-a mod n, -b mod n] and
     # transpose symmetry; both hold analytically, this removes FFT roundoff
-    n = values.shape[0]
-    m = mirror_indices(n)
-    sym = 0.5 * (values + values[np.ix_(m, m)])
-    return 0.5 * (sym + sym.T)
+    m = mirror_indices(values.shape[0])
+    sym = np.add(values, values[np.ix_(m, m)])
+    sym *= 0.5
+    return np.multiply(sym + sym.T, 0.5, out=sym)
 
 
 def build_kernel_table(spec: KernelSpec, grid: GridSpec) -> KernelTable:
@@ -213,9 +215,8 @@ def build_kernel_table(spec: KernelSpec, grid: GridSpec) -> KernelTable:
 
 @lru_cache(maxsize=KERNEL_TABLE_CACHE_SIZE)
 def _cached_kernel_table(spec: KernelSpec, grid: GridSpec) -> KernelTable:
-    # the table is kept; the density it came from is not read again
-    density = _normalized_density(spec, grid)
-    values = _real_synthesis(density.grid_values[: grid.n // 2 + 1])
+    # the table is kept; the density it came from is freed once transformed
+    values = _real_synthesis(_normalized_density(spec, grid).grid_values[: grid.n // 2 + 1])
     return KernelTable(grid=grid, values=_symmetrize_table(values), spec=spec)
 
 
@@ -271,7 +272,8 @@ def _grid_indices(points, what: str) -> np.ndarray:
         return np.zeros((0, 2), dtype=np.int64)
     if raw.ndim != 2 or raw.shape[1] != 2:
         raise ValueError(f"{what} must be an (m, 2) array of grid indices")
-    if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.round(raw))):
+    kind = raw.dtype.kind
+    if kind == "b" or (kind == "f" and not np.all(np.isfinite(raw) & (raw == np.round(raw)))):
         raise ValueError(f"{what} must be integral grid indices")
     return raw.astype(np.int64, copy=False)
 

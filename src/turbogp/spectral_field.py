@@ -73,8 +73,8 @@ class GridSpec:
         return np.meshgrid(f, f, indexing="ij")
 
     def ksq_grid(self) -> np.ndarray:
-        fx, fy = self.frequency_grids()
-        return (fx * fx + fy * fy).astype(np.float64)
+        sq = self.frequencies().astype(np.float64) ** 2
+        return np.add.outer(sq, sq)
 
     def coordinates(self) -> np.ndarray:
         return np.arange(self.n) * self.spacing

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -379,6 +380,19 @@ class TestPlaceSensorsCommand:
         for order, (ix, iy) in enumerate(picks):
             _, cov = dense_condition(table, picks[:order], np.zeros(order), noise)
             assert abs(rows[order, 3] - cov[ix * 32 + iy, ix * 32 + iy]) <= 1e-12
+
+    def test_warm_command_peaks_at_four_grids(self, tmp_path):
+        # the candidates are an (n, n) boolean grid; as an n^2 x 2 int64 list
+        # of indices they took the warm peak to 5.4 grids
+        argv = ("place-sensors", "--n", "128", "--count", "64", "--out", str(tmp_path))
+        assert run_cli(*argv) == 0  # builds and caches the kernel table
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (128**2 * 8) <= 4
 
     def test_bad_stride_rejected(self, tmp_path):
         assert run_cli("place-sensors", "--n", "16", "--candidate-stride", "3",

@@ -101,6 +101,18 @@ def test_malformed_location_array_rejected(cht_table16, use, shape):
             greedy_sensor_placement(cht_table16, empty, points, 1)
 
 
+@pytest.mark.parametrize("use", ["observation", "gram"])
+def test_boolean_location_array_rejected(cht_table16, use):
+    # a boolean array used to be cast to 0/1 indices: [[True, False],
+    # [False, True]] observed (1, 0) and (0, 1), and [[True, True]] gave the
+    # 1 x 1 Gram of (1, 1)
+    with pytest.raises(ValueError, match="integral"):
+        if use == "observation":
+            ObservationSet(np.array([[True, False], [False, True]]), np.zeros(2), 0.1)
+        else:
+            gram_matrix(cht_table16, np.array([[True, True]]))
+
+
 class TestFitPosterior:
     def test_empty_observations_recover_prior(self, cht_table16):
         obs = ObservationSet(np.zeros((0, 2), dtype=int), np.zeros(0), 0.0)
@@ -715,6 +727,19 @@ class TestGreedyPlacement:
         with pytest.raises(ValueError):
             greedy_sensor_placement(cht_table16, obs, [(0, 0)], 2)
 
+    def test_boolean_candidates_must_be_the_whole_grid(self, cht_table16):
+        # [[True, False], [True, True]] used to be read as the points (1, 0)
+        # and (1, 1), and both were picked
+        obs = ObservationSet(np.zeros((0, 2), dtype=int), np.zeros(0), 0.01)
+        candidates = np.array([[True, False], [True, True]])
+        with pytest.raises(ValueError, match=r"boolean candidate grid must be \(16, 16\)"):
+            greedy_sensor_placement(cht_table16, obs, candidates, 2)
+
+    def test_empty_candidate_grid_rejected(self, cht_table16):
+        obs = ObservationSet(np.zeros((0, 2), dtype=int), np.zeros(0), 0.01)
+        with pytest.raises(ValueError, match="count exceeds the candidate pool"):
+            greedy_sensor_placement(cht_table16, obs, np.zeros((16, 16), dtype=bool), 1)
+
     def test_off_grid_candidate_rejected(self, cht_table16):
         obs = ObservationSet(np.zeros((0, 2), dtype=int), np.zeros(0), 0.01)
         with pytest.raises(ValueError, match="on-grid"):
@@ -867,6 +892,40 @@ class TestGreedyPlacement:
         fast = greedy_sensor_placement(table, obs, candidates, count)
         assert fast == refit_greedy(table, obs, candidates, count)
         assert fast == dense_greedy(table, locs, noise, candidates, count)
+
+    @given(
+        n=st.sampled_from([8, 10, 12, 16]),
+        spec=st.sampled_from(_PLACEMENT_SPECS),
+        observed=st.lists(_POINT, max_size=6),
+        noise=st.sampled_from([0.0, 1e-4, 0.01, 0.1]),
+        pool=st.lists(_POINT, min_size=1, max_size=24),
+        count=st.integers(1, 4),
+        stride=st.sampled_from([1, 2, 4]),
+        origin=_POINT,
+        observed_on_lattice=st.booleans(),
+    )
+    def test_candidate_grid_matches_its_list(
+        self, n, spec, observed, noise, pool, count, stride, origin, observed_on_lattice
+    ):
+        # the pool of test_fast_matches_refit_and_dense, as a list in its
+        # drawn order and as an (n, n) boolean grid: the list's count grid
+        # must place exactly as the boolean grid does
+        def on_lattice(points):
+            return [((origin[0] + stride * a) % n, (origin[1] + stride * b) % n) for a, b in points]
+
+        table = build_kernel_table(spec, GridSpec(n))
+        if observed_on_lattice:
+            observed = on_lattice(observed)
+        else:
+            observed = [*observed, (origin[0] + 1, origin[1])]
+        locs = np.array(observed, dtype=np.int64).reshape(-1, 2) % n
+        obs = ObservationSet(locs, np.zeros(len(locs)), noise)
+        candidates = list(dict.fromkeys(on_lattice(pool)))
+        grid = np.zeros((n, n), dtype=bool)
+        grid[tuple(np.array(candidates).T)] = True
+        count = min(count, len(candidates))
+        picks = greedy_sensor_placement(table, obs, grid, count)
+        assert picks == greedy_sensor_placement(table, obs, candidates, count)
 
     def test_memory_does_not_grow_with_count(self, grid64):
         # the rows of L^-1 K(points, candidates) are not kept: 16 and 64 picks

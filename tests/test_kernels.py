@@ -1,6 +1,7 @@
 """Spectral densities, kernel tables vs the direct-sum oracle, Gram assembly,
 and the dissipation admissibility rule."""
 
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from turbogp import (
     select_hyperparameter,
     spectral_density,
 )
+from turbogp import kernels
 from turbogp.kernels import (
     FactorizationError, _offset_gather, raw_density, robust_cholesky, truncation_mask,
 )
@@ -170,6 +172,24 @@ class TestKernelTable:
             for b in range(n):
                 oracle = direct_kernel_sum(spec, (coords[a], coords[b]), n // 2)
                 assert table.values[a, b] == pytest.approx(oracle, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [KernelSpec.cht(1.5), KernelSpec.rbf(0.5), KernelSpec.matern(1.5, 1.0)],
+    )
+    def test_build_peaks_at_four_grids(self, spec):
+        # the density is evaluated in place on one ksq grid and the table
+        # symmetrized in two; meshes, masks and copies used to peak at 8 grids
+        grid = GridSpec(128)
+        kernels._cached_kernel_table.cache_clear()
+        kernels._cached_spectral_density.cache_clear()
+        tracemalloc.start()
+        try:
+            build_kernel_table(spec, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (grid.n**2 * 8) <= 4
 
     def test_matern_half_reduces_to_exponential(self):
         # band-limiting smooths the cusp at the origin, so the effective
